@@ -46,22 +46,12 @@ from repro.errors import (
 from repro.cluster import ClusterPlatformSpec, cluster_platform
 from repro.hw import PLATFORMS, PlatformSpec, platform_by_name
 from repro.runtime import KernelSpec, System
-from repro.service import (
-    CollectiveQuery,
-    ProfileQuery,
-    ThreadedTuningService,
-    TuningService,
-)
 from repro.validate import validation
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Session",
-    "TuningService",
-    "ThreadedTuningService",
-    "ProfileQuery",
-    "CollectiveQuery",
     "System",
     "KernelSpec",
     "ProactConfig",

@@ -254,15 +254,15 @@ class Session:
                         store=None):
         """Tune (algorithm x chunk size) for one collective payload.
 
-        The direct, synchronous twin of the tuning service's
-        :class:`~repro.service.CollectiveQuery`: sweeps the grid on this
+        The collective twin of :meth:`profile`: sweeps the grid on this
         session's platform and returns the winning
         :class:`~repro.collectives.tuner.CollectiveChoice` (pass the
         chosen ``algorithm``/``chunk_size`` to :meth:`collective` to run
         it).  ``jobs`` fans the sweep over a warm worker pool; ``store``
         is an optional
         :class:`~repro.collectives.tuner.CollectivePlanStore` consulted
-        (and seeded) by sweep signature.
+        (and seeded) by sweep signature and payload bucket, so a repeat
+        query in the same bucket skips the sweep.
         """
         from repro.collectives.tuner import CollectiveTuner
         from repro.core.config import PROFILE_CHUNK_SIZES
@@ -277,33 +277,6 @@ class Session:
             if store is not None:
                 return store.get_or_tune(tuner, nbytes)
             return tuner.tune(nbytes).best_choice
-
-    def serve(self, **service_kwargs):
-        """A :class:`~repro.service.TuningService` for this platform.
-
-        The async query layer over the facade: queries built without a
-        platform default to this session's, and hits/coalescing/sweeps
-        follow the service's three-tier path.  Keyword arguments go to
-        :class:`~repro.service.TuningService` (``shards``,
-        ``queue_depth``, ``jobs``, stores, ``default_timeout``); the
-        service is returned unstarted — drive it with ``async with`` or
-        wrap it in :class:`~repro.service.ThreadedTuningService` via
-        ``serve_threaded``.
-        """
-        from repro.service import TuningService
-        return TuningService(default_platform=self.platform,
-                             **service_kwargs)
-
-    def serve_threaded(self, **service_kwargs):
-        """:meth:`serve`, wrapped for blocking callers.
-
-        Returns an unstarted
-        :class:`~repro.service.ThreadedTuningService`; use it as a
-        context manager and call ``query`` from any thread.
-        """
-        from repro.service import ThreadedTuningService
-        return ThreadedTuningService(default_platform=self.platform,
-                                     **service_kwargs)
 
     def collective(self, collective: str, nbytes: int, *,
                    algorithm: str = "ring",

@@ -26,7 +26,7 @@ from repro.collectives.executor import run_collective
 from repro.collectives.schedule import ALL_COLLECTIVES, COLL_ALL_REDUCE
 from repro.core.config import PROFILE_CHUNK_SIZES
 from repro.core.profiler import ExecutorBackend, SerialBackend
-from repro.core.store import SignatureKeyedStore, match_key
+from repro.core.store import SignatureKeyedStore
 from repro.errors import CollectiveError
 from repro.hw.platform import PlatformSpec
 from repro.obs.capture import active as active_observation
@@ -252,40 +252,25 @@ class CollectivePlanStore(SignatureKeyedStore[CollectiveChoice]):
     sweep signature so sweeps over different grids never collide, and a
     parallel sweep shares hits with its serial twin.  Like the profile
     store it rides :class:`~repro.core.store.SignatureKeyedStore`:
-    operations are thread-safe, :meth:`invalidate` version-fences
-    in-flight sweeps, and saves are atomic write-then-rename so a warm
-    worker sharing the store path never reads a torn document.
+    operations are thread-safe, and saves are locked read-merge-write
+    plus atomic write-then-rename, so processes sharing the store path
+    never lose entries or read a torn document.
     """
 
     KEY_PARTS = 4
-    MIN_KEY_PARTS = 3
     ERROR = CollectiveError
-    KEY_LAYOUT = "platform::collective::bucket[::signature]"
+    KEY_LAYOUT = "platform::collective::bucket::signature"
     KIND = "plan store"
 
     def get(self, platform_name: str, collective: str, bucket: str,
-            signature: str = "") -> Optional[CollectiveChoice]:
+            signature: str) -> Optional[CollectiveChoice]:
         return self._get_entry(
             (platform_name, collective, bucket, signature))
 
     def put(self, platform_name: str, collective: str, bucket: str,
-            choice: CollectiveChoice, signature: str = "",
-            if_version: Optional[int] = None) -> bool:
-        """Store a choice; ``if_version`` fences against
-        :meth:`invalidate` exactly like
-        :meth:`repro.core.cache.ProfileStore.put`."""
-        return self._put_entry(
-            (platform_name, collective, bucket, signature), choice,
-            if_version=if_version)
-
-    def invalidate(self, platform_name: Optional[str] = None,
-                   collective: Optional[str] = None,
-                   bucket: Optional[str] = None,
-                   signature: Optional[str] = None) -> int:
-        """Drop matching entries (``None`` matches anything); bump
-        :attr:`version`.  Returns the number of entries removed."""
-        pattern = (platform_name, collective, bucket, signature)
-        return self._invalidate_where(lambda key: match_key(key, pattern))
+            choice: CollectiveChoice, signature: str) -> None:
+        self._put_entry(
+            (platform_name, collective, bucket, signature), choice)
 
     def get_or_tune(self, tuner: CollectiveTuner,
                     nbytes: int) -> CollectiveChoice:
@@ -296,10 +281,9 @@ class CollectivePlanStore(SignatureKeyedStore[CollectiveChoice]):
                           signature)
         if cached is not None:
             return cached
-        version = self.version
         choice = tuner.tune(nbytes).best_choice
         self.put(tuner.platform.name, tuner.collective, bucket, choice,
-                 signature, if_version=version)
+                 signature)
         return choice
 
     # ------------------------------------------------------------------

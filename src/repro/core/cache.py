@@ -15,32 +15,29 @@ different grids never collide in the store, and every worker of a
 parallel sweep (or a parallel experiment runner) shares hits with its
 serial twin: the signature deliberately excludes the executor backend.
 
-Since the tuning service (:mod:`repro.service`) fronts this store with
-many concurrent queries, it rides
+Because ``--jobs N`` runner workers and parallel sweeps may share one
+store file, the store rides
 :class:`~repro.core.store.SignatureKeyedStore`: every operation is
-thread-safe, :meth:`invalidate` bumps a monotonic :attr:`version` that
-fences out in-flight sweeps started before the invalidation
-(``put(..., if_version=...)``), and saves are atomic
-write-then-rename so a reader sharing the store path never sees a torn
-document.
+thread-safe, and saves are a locked read-merge-write with an atomic
+write-then-rename, so concurrent writers never lose each other's entries
+and a reader sharing the store path never sees a torn document.
 """
 
 from __future__ import annotations
 
 import typing
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import ProactConfig
 from repro.core.profiler import Profiler
-from repro.core.store import SignatureKeyedStore, match_key
+from repro.core.store import SignatureKeyedStore
 from repro.errors import ProactError
 from repro.hw.platform import PlatformSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.base import Workload
 
-#: ``(platform, workload, sweep signature)``; the empty signature is the
-#: legacy "whatever grid profiled this" namespace.
+#: ``(platform, workload, sweep signature)``.
 _Key = Tuple[str, str, str]
 
 
@@ -69,46 +66,22 @@ class ProfileStore(SignatureKeyedStore[ProactConfig]):
     """JSON-backed, concurrency-safe cache of profiled configurations."""
 
     KEY_PARTS = 3
-    MIN_KEY_PARTS = 2
     ERROR = ProactError
-    KEY_LAYOUT = "platform::workload[::signature]"
+    KEY_LAYOUT = "platform::workload::signature"
     KIND = "profile store"
 
-    def __contains__(self, key: Union[Tuple[str, str], _Key]) -> bool:
-        return self._get_entry(self._normalize(key)) is not None
-
-    @staticmethod
-    def _normalize(key: Union[Tuple[str, str], _Key]) -> _Key:
-        if len(key) == 2:
-            return (key[0], key[1], "")
-        return typing.cast(_Key, tuple(key))
+    def __contains__(self, key: _Key) -> bool:
+        return self._get_entry(key) is not None
 
     def get(self, platform_name: str, workload_name: str,
-            signature: str = "") -> Optional[ProactConfig]:
+            signature: str) -> Optional[ProactConfig]:
         """The stored configuration, or ``None`` if never profiled."""
         return self._get_entry((platform_name, workload_name, signature))
 
     def put(self, platform_name: str, workload_name: str,
-            config: ProactConfig, signature: str = "",
-            if_version: Optional[int] = None) -> bool:
-        """Store (and persist, when backed by a file) a configuration.
-
-        ``if_version`` fences the put against :meth:`invalidate`: pass
-        the :attr:`version` observed before the sweep started and the
-        put is refused (returning ``False``) when an invalidation
-        happened in between, so stale plans never re-enter the cache.
-        """
-        return self._put_entry((platform_name, workload_name, signature),
-                               config, if_version=if_version)
-
-    def invalidate(self, platform_name: Optional[str] = None,
-                   workload_name: Optional[str] = None,
-                   signature: Optional[str] = None) -> int:
-        """Drop matching entries (``None`` matches anything); bump
-        :attr:`version` so in-flight fenced puts are refused.  Returns
-        the number of entries removed."""
-        pattern = (platform_name, workload_name, signature)
-        return self._invalidate_where(lambda key: match_key(key, pattern))
+            config: ProactConfig, signature: str) -> None:
+        """Store (and persist, when backed by a file) a configuration."""
+        self._put_entry((platform_name, workload_name, signature), config)
 
     def get_or_profile(self, platform: PlatformSpec, workload: "Workload",
                        profiler: Optional[Profiler] = None) -> ProactConfig:
@@ -116,18 +89,21 @@ class ProfileStore(SignatureKeyedStore[ProactConfig]):
 
         Results are keyed by the profiler's sweep signature, so asking
         again with a different grid re-profiles instead of returning a
-        config chosen from a different search space.
+        config chosen from a different search space.  The profiler must
+        sweep ``platform`` itself: its winner is stored under that name.
         """
         active_profiler = profiler or Profiler(platform)
+        if active_profiler.platform.name != platform.name:
+            raise ProactError(
+                f"profiler sweeps {active_profiler.platform.name!r} but "
+                f"the plan would be stored for {platform.name!r}")
         signature = active_profiler.sweep_signature()
         cached = self.get(platform.name, workload.name, signature)
         if cached is not None:
             return cached
-        version = self.version
         profile = active_profiler.profile(workload.phase_builder())
         config = profile.best_config
-        self.put(platform.name, workload.name, config, signature,
-                 if_version=version)
+        self.put(platform.name, workload.name, config, signature)
         return config
 
     # ------------------------------------------------------------------

@@ -4,35 +4,24 @@
 :class:`~repro.collectives.tuner.CollectivePlanStore` are the same data
 structure with different value types: a dict from a signature-suffixed
 key tuple to a small plan object, optionally mirrored to a JSON file.
-The tuning service (:mod:`repro.service`) hits both from many tasks and
-threads at once, which is what this base exists for.  It provides:
+Parallel sweeps (``--jobs N`` runner workers, sweep worker pools) and
+threads share one store, which is what this base exists for.  It
+provides:
 
 **Thread safety.**  Every public operation holds one re-entrant lock,
-so interleaved ``get``/``put``/``invalidate`` calls from a thread pool
+so interleaved ``get``/``put``/``reload`` calls from a thread pool
 never lose updates or observe a half-applied mutation.
-
-**Versioned invalidation.**  The store carries a monotonic
-:attr:`version`, bumped by every :meth:`invalidate` call.  A writer
-that computed its plan *before* an invalidation passes the version it
-read to ``put(..., if_version=...)``; the put is refused when the store
-has been invalidated since, so a slow sweep can never resurrect an
-entry that model-code changes just threw away.  (Entries themselves are
-namespaced by sweep signature — the grid half of invalidation — so the
-version only needs to fence *time*, not *space*.)
 
 **Torn-read-free persistence.**  Saves write a private temporary file
 and ``os.replace`` it over the store path, so a concurrent reader — a
-warm sweep worker sharing the store path with the service — always
-loads either the old complete document or the new complete document,
-never a truncated prefix.  Put-saves additionally fold in entries that
-another process persisted since our last load (read-merge-write; our
-own entries win), and the read-merge-replace sequence holds an
-exclusive ``flock`` on a sidecar lock file so concurrent saves from
-two processes serialize — two processes appending different signatures
-to one file both survive, with no lost updates even under contention.
-``invalidate`` deliberately skips the merge:
-its save is authoritative, otherwise the merge would resurrect exactly
-the entries it is removing.
+sweep worker sharing the store path — always loads either the old
+complete document or the new complete document, never a truncated
+prefix.  Saves additionally fold in entries that another process
+persisted since our last load (read-merge-write; our own entries win),
+and the read-merge-replace sequence holds an exclusive ``flock`` on a
+sidecar lock file so concurrent saves from two processes serialize —
+two processes appending different signatures to one file both survive,
+with no lost updates even under contention.
 """
 
 from __future__ import annotations
@@ -42,8 +31,7 @@ import json
 import os
 import pathlib
 import threading
-from typing import (Callable, Dict, Generic, Iterator, List, Optional,
-                    Tuple, TypeVar, Union)
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar, Union
 
 try:  # POSIX advisory locks; absent on some platforms.
     import fcntl
@@ -86,7 +74,7 @@ Key = Tuple[str, ...]
 
 
 class SignatureKeyedStore(Generic[ValueT]):
-    """Locked, versioned, atomically-persisted ``{key tuple: plan}``.
+    """Locked, atomically-persisted ``{key tuple: plan}``.
 
     Subclasses define the schema: how many parts a key has
     (:attr:`KEY_PARTS`, signature last), how values serialize
@@ -94,17 +82,14 @@ class SignatureKeyedStore(Generic[ValueT]):
     type corrupt documents raise (:attr:`ERROR`).
     """
 
-    #: Number of parts in a full key, including the trailing signature.
+    #: Number of parts in a key, including the trailing signature.
     KEY_PARTS: int = 3
-
-    #: Minimum parts a persisted key may carry (signature optional).
-    MIN_KEY_PARTS: int = 2
 
     #: Error type for corrupt documents (a :class:`ReproError` subclass).
     ERROR = ReproError
 
     #: Human-readable key layout, used in corrupt-document errors.
-    KEY_LAYOUT = "part::part[::signature]"
+    KEY_LAYOUT = "part::part::signature"
 
     #: What the store holds, for error messages ("profile store", ...).
     KIND = "store"
@@ -114,7 +99,6 @@ class SignatureKeyedStore(Generic[ValueT]):
         self.path = pathlib.Path(path) if path is not None else None
         self._lock = threading.RLock()
         self._entries: Dict[Key, ValueT] = {}
-        self._version = 0
         if self.path is not None and self.path.exists():
             with self._lock:
                 self._entries = self._read_file(self.path)
@@ -135,54 +119,23 @@ class SignatureKeyedStore(Generic[ValueT]):
         with self._lock:
             return len(self._entries)
 
-    @property
-    def version(self) -> int:
-        """Monotonic invalidation counter (see module docstring)."""
-        with self._lock:
-            return self._version
-
     def _get_entry(self, key: Key) -> Optional[ValueT]:
         with self._lock:
             return self._entries.get(key)
 
-    def _put_entry(self, key: Key, value: ValueT,
-                   if_version: Optional[int] = None) -> bool:
-        """Store ``value``; refuse (returning False) when fenced out.
-
-        ``if_version`` is the version the writer observed before it
-        started computing: the put only lands while the store is still
-        at that version, so plans computed against invalidated model
-        code are dropped instead of cached.
-        """
+    def _put_entry(self, key: Key, value: ValueT) -> None:
+        """Store ``value`` and persist it when file-backed."""
         with self._lock:
-            if if_version is not None and if_version != self._version:
-                return False
             self._entries[key] = value
             if self.path is not None:
-                self._save_locked(merge=True)
-            return True
-
-    def _invalidate_where(self, predicate: Callable[[Key], bool]) -> int:
-        """Remove matching entries, bump the version, persist; count."""
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self._version += 1
-            if self.path is not None:
-                self._save_locked(merge=False)
-            return len(doomed)
-
-    def invalidate_all(self) -> int:
-        """Drop every entry (model code changed wholesale)."""
-        return self._invalidate_where(lambda key: True)
+                self._save_locked()
 
     def reload(self) -> None:
         """Re-read the backing file, folding in other processes' puts.
 
         Disk entries for keys we also hold are ignored — our in-memory
-        state is authoritative for anything this process computed or
-        invalidated.  No-op for in-memory stores.
+        state is authoritative for anything this process computed.
+        No-op for in-memory stores.
         """
         if self.path is None:
             return
@@ -195,34 +148,28 @@ class SignatureKeyedStore(Generic[ValueT]):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _save_locked(self, merge: bool) -> None:
+    def _save_locked(self) -> None:
         """Atomically replace the store file with the current entries.
 
-        With ``merge=True``, entries another process persisted since we
-        last read the file are preserved (ours win on conflict); a torn
-        or unreadable on-disk document is skipped — losing a merge is
-        survivable, corrupting the save is not.  The whole
-        read-merge-replace sequence runs under :func:`_file_lock`, so a
-        concurrent save in another process cannot slip its entries in
-        between our read and our replace and have them clobbered.
+        Entries another process persisted since we last read the file
+        are preserved (ours win on conflict); a torn or unreadable
+        on-disk document is skipped — losing a merge is survivable,
+        corrupting the save is not.  The whole read-merge-replace
+        sequence runs under :func:`_file_lock`, so a concurrent save in
+        another process cannot slip its entries in between our read and
+        our replace and have them clobbered.
         """
         assert self.path is not None
         with _file_lock(self.path):
-            entries = self._entries
-            if merge and self.path.exists():
+            if self.path.exists():
                 try:
                     disk = self._read_file(self.path)
                 except ReproError:
                     disk = {}
-                merged = dict(disk)
-                merged.update(entries)
-                entries = merged
-                self._entries = entries
-            payload = {}
-            for key, value in sorted(entries.items()):
-                parts = [part for part in key if part]
-                payload[KEY_SEPARATOR.join(parts)] = (
-                    self._encode_value(value))
+                disk.update(self._entries)
+                self._entries = disk
+            payload = {KEY_SEPARATOR.join(key): self._encode_value(value)
+                       for key, value in sorted(self._entries.items())}
             text = json.dumps(payload, indent=2, sort_keys=True)
             # Private temp name (pid-suffixed so two processes saving
             # the same store path never scribble on each other's temp
@@ -250,19 +197,10 @@ class SignatureKeyedStore(Generic[ValueT]):
                 f"{self.KIND} {path} has an unexpected layout")
         entries: Dict[Key, ValueT] = {}
         for raw_key, data in payload.items():
-            parts: List[str] = raw_key.split(KEY_SEPARATOR,
-                                             self.KEY_PARTS - 1)
-            if len(parts) < self.MIN_KEY_PARTS:
+            parts = tuple(raw_key.split(KEY_SEPARATOR, self.KEY_PARTS - 1))
+            if len(parts) < self.KEY_PARTS:
                 raise self.ERROR(
                     f"{self.KIND} key {raw_key!r} is not "
                     f"'{self.KEY_LAYOUT}'")
-            while len(parts) < self.KEY_PARTS:
-                parts.append("")
-            entries[tuple(parts)] = self._decode_value(data)
+            entries[parts] = self._decode_value(data)
         return entries
-
-
-def match_key(key: Key, pattern: Tuple[Optional[str], ...]) -> bool:
-    """True when every non-``None`` pattern part equals the key's part."""
-    return all(want is None or part == want
-               for part, want in zip(key, pattern))

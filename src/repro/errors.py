@@ -44,43 +44,6 @@ class CollectiveError(ReproError):
     """Raised for invalid collective schedules or algorithm selection."""
 
 
-class ServiceError(ReproError):
-    """Base class for tuning-service failures (``repro.service``)."""
-
-
-class ServiceClosedError(ServiceError):
-    """Raised when a query reaches a service that is not running."""
-
-
-class ServiceOverloadedError(ServiceError):
-    """Typed backpressure rejection: the target shard's queue is full.
-
-    Carries the shard index and its bounded depth so a client can tell
-    "retry later" apart from a programming error.
-    """
-
-    def __init__(self, message: str, *, shard: int = 0,
-                 depth: int = 0) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.depth = depth
-
-
-class ServiceTimeoutError(ServiceError):
-    """Raised when a query's per-request deadline expires.
-
-    The underlying sweep keeps running: its result still lands in the
-    cache and resolves any other coalesced waiters, so a timed-out
-    client that retries usually hits.
-    """
-
-    def __init__(self, message: str, *, signature: str = "",
-                 timeout: float = 0.0) -> None:
-        super().__init__(message)
-        self.signature = signature
-        self.timeout = timeout
-
-
 class ValidationError(ReproError):
     """Raised by the opt-in simulation sanitizers (``repro.validate``).
 

@@ -238,8 +238,6 @@ REGISTRY: Tuple[ExperimentSpec, ...] = (
                    "repro.experiments.cluster"),
     ExperimentSpec("autotune", "Search autotuner",
                    "repro.experiments.autotune"),
-    ExperimentSpec("service", "Tuning service",
-                   "repro.experiments.service"),
 )
 
 _BY_NAME: Dict[str, ExperimentSpec] = {spec.name: spec for spec in REGISTRY}

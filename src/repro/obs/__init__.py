@@ -56,7 +56,6 @@ from repro.obs.metrics import (
     Histogram,
     HistogramSummary,
     MetricsRegistry,
-    ThreadSafeMetricsRegistry,
     series_name,
 )
 from repro.obs.report import (
@@ -72,7 +71,6 @@ __all__ = [
     "capture",
     "suppress",
     "MetricsRegistry",
-    "ThreadSafeMetricsRegistry",
     "Histogram",
     "HistogramSummary",
     "NULL_METRICS",

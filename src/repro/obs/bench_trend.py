@@ -29,7 +29,6 @@ HEADLINE_KEYS = (
     "speedup", "total_speedup", "engine_speedup", "events_per_sec",
     "serial_s", "parallel_s", "sweep_s", "search_s", "sweep_configs",
     "gate_enforced", "hier_vs_ring_1024gpu", "hier_busbw_1024gpu_gbs",
-    "service_qps", "hit_speedup", "hit_rate",
     "decoupled_agent_importance", "write_coalescing_importance",
     "all_on_identical",
 )

@@ -31,7 +31,6 @@ mislabels them with whatever phase the parent happens to be inside.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
@@ -205,9 +204,9 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's series into this one.
 
-        The cross-process aggregation seam: sweep workers (and the
-        tuning service's shards) record into their own registry and the
-        parent folds each one in when its results land.  Counters add,
+        The cross-process aggregation seam: sweep workers record into
+        their own registry and the parent folds each one in when its
+        results land.  Counters add,
         gauges take the incoming value (last write wins, as if the
         worker had published directly), histograms merge bucket-exact.
 
@@ -271,63 +270,6 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
         self._phase_counters.clear()
-
-
-class ThreadSafeMetricsRegistry(MetricsRegistry):
-    """A :class:`MetricsRegistry` whose operations hold one lock.
-
-    The plain registry is written for the single-threaded simulation hot
-    path, where a lock per ``inc`` would be pure overhead.  The tuning
-    service (:mod:`repro.service`) publishes from shard workers and
-    reads snapshots from arbitrary client threads, so it uses this
-    subclass instead: every mutator and reader takes the registry lock,
-    making lost increments and half-merged histograms impossible while
-    the hot path keeps its lock-free base class.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        super().__init__(enabled)
-        self._mutex = threading.RLock()
-
-    def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
-        with self._mutex:
-            super().inc(name, value, **labels)
-
-    def set_gauge(self, name: str, value: float, **labels: object) -> None:
-        with self._mutex:
-            super().set_gauge(name, value, **labels)
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        with self._mutex:
-            super().observe(name, value, **labels)
-
-    def merge(self, other: MetricsRegistry) -> None:
-        with self._mutex:
-            super().merge(other)
-
-    def get(self, name: str, **labels: object) -> float:
-        with self._mutex:
-            return super().get(name, **labels)
-
-    def get_gauge(self, name: str, **labels: object) -> float:
-        with self._mutex:
-            return super().get_gauge(name, **labels)
-
-    def get_histogram(self, name: str, **labels: object) -> Histogram:
-        with self._mutex:
-            return super().get_histogram(name, **labels)
-
-    def total(self, name: str) -> float:
-        with self._mutex:
-            return super().total(name)
-
-    def snapshot(self) -> Dict:
-        with self._mutex:
-            return super().snapshot()
-
-    def clear(self) -> None:
-        with self._mutex:
-            super().clear()
 
 
 #: Shared disabled registry for components created without one.

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.collectives import (
     ALGO_RING,
     COLL_ALL_GATHER,
@@ -145,6 +146,32 @@ def test_plan_store_get_or_tune_caches(tmp_path):
     # A fresh store reading the same file also hits.
     assert CollectivePlanStore(path).get_or_tune(
         cached_tuner, 4 * MiB) == first
+
+
+def test_session_plan_collective_matches_the_tuner():
+    session = Session("4x_volta")
+    direct = CollectiveTuner(VOLTA, COLL_ALL_REDUCE,
+                             chunk_sizes=CHUNKS).tune(4 * MiB).best_choice
+    assert session.plan_collective(COLL_ALL_REDUCE, 4 * MiB,
+                                   chunk_sizes=CHUNKS) == direct
+
+
+def test_session_plan_collective_hits_a_file_backed_store(tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "plans.json"
+    store = CollectivePlanStore(path)
+    session = Session("4x_volta")
+    first = session.plan_collective(COLL_ALL_REDUCE, 4 * MiB,
+                                    chunk_sizes=CHUNKS, store=store)
+
+    def no_retune(self, nbytes):
+        raise AssertionError("cache hit expected; sweep re-ran")
+
+    monkeypatch.setattr(CollectiveTuner, "tune", no_retune)
+    second = session.plan_collective(COLL_ALL_REDUCE, 5 * MiB,  # same bucket
+                                     chunk_sizes=CHUNKS, store=store)
+    assert second == first
+    assert len(json.loads(path.read_text())) == 1
 
 
 def test_plan_store_rejects_corrupt_files(tmp_path):

@@ -30,11 +30,10 @@ FAST = ["table1", "fig2"]
 def test_registry_covers_every_experiment_module():
     names = experiment_names()
     assert names[0] == "table1"  # canonical serial order preserved
-    assert len(names) == len(set(names)) == len(REGISTRY) == 18
+    assert len(names) == len(set(names)) == len(REGISTRY) == 17
     for expected in ("fig1", "fig7", "table2", "ablations", "ablation",
                      "sensitivity",
-                     "utilization", "collectives", "cluster", "autotune",
-                     "service"):
+                     "utilization", "collectives", "cluster", "autotune"):
         assert expected in names
 
 

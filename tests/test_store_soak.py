@@ -7,7 +7,7 @@ every update (no lost updates), and its temp-file + ``os.replace``
 persistence must never expose a truncated document to a concurrent
 reader (no torn reads).  This is the cross-process half of the
 thread-safety story the store's module docstring promises; the
-in-process half is covered by ``test_service_stores.py``.
+in-process half is covered by ``test_profile_store.py``.
 """
 
 import json
@@ -28,7 +28,7 @@ def _writer(path: str, worker_id: int, barrier, n: int) -> None:
     store = ProfileStore(path=path)
     barrier.wait()  # maximize interleaving: both writers start together
     for i in range(n):
-        assert store.put(f"plat{worker_id}", f"wl{i}", DEFAULT_CONFIG)
+        store.put(f"plat{worker_id}", f"wl{i}", DEFAULT_CONFIG, "sig")
 
 
 def _reader(path: str, stop, failures) -> None:
@@ -83,7 +83,8 @@ def test_two_processes_share_one_store_file(tmp_path):
     assert len(merged) == 2 * WRITES_PER_WORKER
     for worker_id in (0, 1):
         for i in range(WRITES_PER_WORKER):
-            assert merged.get(f"plat{worker_id}", f"wl{i}") == DEFAULT_CONFIG
+            assert merged.get(f"plat{worker_id}", f"wl{i}",
+                              "sig") == DEFAULT_CONFIG
 
 
 def test_fresh_process_sees_persisted_entries(tmp_path):
@@ -91,10 +92,10 @@ def test_fresh_process_sees_persisted_entries(tmp_path):
     first instance's persisted entries without coordination."""
     path = tmp_path / "profiles.json"
     first = ProfileStore(path=path)
-    first.put("p", "a", DEFAULT_CONFIG)
+    first.put("p", "a", DEFAULT_CONFIG, "sig")
     second = ProfileStore(path=path)
-    assert second.get("p", "a") == DEFAULT_CONFIG
+    assert second.get("p", "a", "sig") == DEFAULT_CONFIG
     # And the reverse direction via reload().
-    second.put("p", "b", DEFAULT_CONFIG)
+    second.put("p", "b", DEFAULT_CONFIG, "sig")
     first.reload()
-    assert first.get("p", "b") == DEFAULT_CONFIG
+    assert first.get("p", "b", "sig") == DEFAULT_CONFIG
