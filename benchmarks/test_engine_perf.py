@@ -6,13 +6,14 @@ Three numbers, written to ``benchmarks/results/BENCH_engine.json``:
 * the reference profiler sweep's wall time (exhaustive, unpruned) —
   the same sweep measured at the pre-PR commit, so the ratio is the
   speedup from the engine/interconnect/fluid fast paths alone;
-* the same sweep with lower-bound pruning — the headline speedup the
-  overhaul ships.
+* the same grid under the floor-seeded ``search`` autotuner, which
+  skips candidates by their infinite-bandwidth lower bound — the
+  headline speedup the overhaul ships.
 
 The speedup gate is only meaningful because the *results* are pinned:
 the sweep must reproduce the pre-PR best configuration and its runtime
-bit-for-bit, and the pruned sweep must match the unpruned one entry for
-entry.  A fast simulator that simulates something else would fail here
+bit-for-bit, and every entry the search measures must match the
+exhaustive sweep's entry for the same configuration.  A fast simulator that simulates something else would fail here
 first.
 
 Pre-PR reference: commit 3808a03 ("Add simulation correctness layer"),
@@ -65,11 +66,10 @@ def events_per_sec() -> float:
     return engine.events_fired / (time.perf_counter() - t0)
 
 
-def _sweep(prune: bool):
+def _sweep(search: str):
     profiler = Profiler(platform_by_name("4x_volta"),
                         chunk_sizes=SWEEP_CHUNKS,
-                        thread_counts=SWEEP_THREADS,
-                        search="exhaustive", prune=prune)
+                        thread_counts=SWEEP_THREADS, search=search)
     builder = PageRankWorkload().phase_builder()
     t0 = time.perf_counter()
     result = profiler.profile(builder)
@@ -77,7 +77,7 @@ def _sweep(prune: bool):
 
 
 def test_engine_perf_overhaul(benchmark, results_dir):
-    result, unpruned_s = _sweep(prune=False)
+    result, unpruned_s = _sweep("exhaustive")
 
     # Byte-identity first: the optimized hot paths must reproduce the
     # pre-PR sweep exactly — same winner, bitwise-equal runtime, full
@@ -87,7 +87,7 @@ def test_engine_perf_overhaul(benchmark, results_dir):
     assert len(result.entries) == 1 + 2 * len(SWEEP_CHUNKS) * len(SWEEP_THREADS)
 
     pruned, pruned_s = benchmark.pedantic(
-        _sweep, kwargs={"prune": True}, rounds=1, iterations=1)
+        _sweep, args=("search",), rounds=1, iterations=1)
     assert pruned.best.config == result.best.config
     assert pruned.best.runtime == result.best.runtime
     measured = {entry.config: entry.runtime for entry in result.entries}
@@ -127,7 +127,7 @@ def test_engine_perf_overhaul(benchmark, results_dir):
     path.write_text(json.dumps(datapoint, indent=2, sort_keys=True) + "\n")
 
     # The engine fast paths alone must never regress the sweep, and the
-    # full overhaul (fast paths + pruning) must clear the acceptance bar.
+    # full overhaul (fast paths + search) must clear the acceptance bar.
     assert engine_speedup > 1.0, (
         f"unpruned sweep regressed: {unpruned_s:.2f}s vs "
         f"baseline {BASELINE_SWEEP_S:.2f}s")

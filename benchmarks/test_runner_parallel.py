@@ -25,7 +25,7 @@ import json
 import os
 import time
 
-from repro.core.profiler import ParallelProfiler, Profiler
+from repro.core.profiler import ProcessPoolBackend, Profiler
 from repro.hw import platform_by_name
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -65,8 +65,9 @@ def test_warm_worker_sweep_speedup(benchmark, results_dir):
     serial_s = time.perf_counter() - started
     assert len(serial.entries) >= MIN_SWEEP_CONFIGS
 
-    parallel_profiler = ParallelProfiler(platform, jobs=BENCH_JOBS,
-                                         **_profiler_kwargs())
+    parallel_profiler = Profiler(platform,
+                                 backend=ProcessPoolBackend(BENCH_JOBS),
+                                 **_profiler_kwargs())
     parallel = benchmark.pedantic(
         parallel_profiler.profile, args=(builder,), rounds=1, iterations=1)
     parallel_s = benchmark.stats.stats.total
@@ -77,10 +78,10 @@ def test_warm_worker_sweep_speedup(benchmark, results_dir):
 
     # The search autotuner on the same grid: same argmin, fewer runs.
     search_started = time.perf_counter()
-    searched = ParallelProfiler(platform, chunk_sizes=SWEEP_CHUNKS,
-                                thread_counts=SWEEP_THREADS,
-                                search="search",
-                                jobs=BENCH_JOBS).profile(builder)
+    searched = Profiler(platform, chunk_sizes=SWEEP_CHUNKS,
+                        thread_counts=SWEEP_THREADS, search="search",
+                        backend=ProcessPoolBackend(BENCH_JOBS),
+                        ).profile(builder)
     search_s = time.perf_counter() - search_started
     assert searched.best.config == serial.best.config
     assert searched.best.runtime == serial.best.runtime
@@ -135,8 +136,8 @@ def test_sweep_telemetry_coverage_and_overhead(results_dir):
     builder = _workload().phase_builder()
 
     def sweep():
-        return ParallelProfiler(platform, jobs=BENCH_JOBS,
-                                **_profiler_kwargs()).profile(builder)
+        return Profiler(platform, backend=ProcessPoolBackend(BENCH_JOBS),
+                        **_profiler_kwargs()).profile(builder)
 
     started = time.perf_counter()
     plain = sweep()

@@ -12,9 +12,10 @@ on in the smoke suite.
 import json
 import time
 
+from repro.api import Session
 from repro.core import MECH_POLLING, ProactConfig, ProactPhaseExecutor
 from repro.hw import PLATFORM_4X_VOLTA
-from repro.runtime import KernelSpec, System
+from repro.runtime import KernelSpec
 from repro.core.runtime import GpuPhaseWork
 from repro.units import KiB, MiB
 from repro.validate import validation
@@ -26,7 +27,8 @@ REPEATS = 3
 
 
 def _run_workload():
-    system = System(PLATFORM_4X_VOLTA)
+    session = Session(PLATFORM_4X_VOLTA)
+    system = session.system()
     executor = ProactPhaseExecutor(
         system, ProactConfig(MECH_POLLING, CHUNK, 2048))
     flops = system.gpus[0].spec.flops * 2e-3
@@ -37,7 +39,7 @@ def _run_workload():
         works += [GpuPhaseWork(kernel=KernelSpec("other", flops, 0, 8192))
                   for _ in range(system.num_gpus - 1)]
         system.run(until=executor.execute(works))
-    system.finish_validation()
+    session.finish(system)
     return system
 
 

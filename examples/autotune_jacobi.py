@@ -6,11 +6,12 @@ granularity, and transfer-thread count for one application/platform pair,
 print the whole profile, and report the configuration the framework would
 bake into the compiled binary (one cell of Table II).
 
-The sweep goes through ``Session.profile``; pass ``--exhaustive`` to run
-the brute-force grid with the infinite-bandwidth lower-bound pruning
-(identical winner, fewer full measurements).
+The sweep goes through ``Session.profile``; pass ``--search`` to run the
+floor-seeded search autotuner, which skips candidates by their
+infinite-bandwidth lower bound (the exhaustive argmin, fewer full
+measurements).
 
-Run:  python examples/autotune_jacobi.py [platform] [--exhaustive]
+Run:  python examples/autotune_jacobi.py [platform] [--search]
       (platform defaults to 4x_pascal; see repro.hw.PLATFORMS)
 """
 
@@ -23,21 +24,19 @@ from repro.workloads import JacobiWorkload
 
 
 def main() -> None:
-    args = [arg for arg in sys.argv[1:] if arg != "--exhaustive"]
-    exhaustive = "--exhaustive" in sys.argv[1:]
+    args = [arg for arg in sys.argv[1:] if arg != "--search"]
+    strategy = "search" if "--search" in sys.argv[1:] else "coordinate"
     platform_name = args[0] if args else "4x_pascal"
     session = Session(platform_name)
     workload = JacobiWorkload()
 
-    search = "exhaustive" if exhaustive else "coordinate"
     print(f"Profiling {workload.name} on {session.platform.name} "
-          f"({search} search{', pruned' if exhaustive else ''})...\n")
+          f"({strategy} sweep)...\n")
     profile = session.profile(
         workload,
         chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB, 4 * MiB),
         thread_counts=(256, 1024, 2048, 4096),
-        search=search,
-        prune=exhaustive,
+        strategy=strategy,
     )
 
     table = TextTable(
@@ -55,6 +54,10 @@ def main() -> None:
     print(f"\nChosen configuration (Table II cell): {best.config.label()}"
           f" at {format_time(best.runtime)}")
     for mechanism in ("inline", "polling", "cdp"):
+        if not any(e.config.mechanism == mechanism for e in profile.entries):
+            # The search skipped every config of this mechanism.
+            print(f"  best {mechanism:8s}: none measured (all pruned)")
+            continue
         entry = profile.best_for_mechanism(mechanism)
         print(f"  best {mechanism:8s}: {entry.config.label():20s} "
               f"{format_time(entry.runtime)}")

@@ -12,8 +12,7 @@ object with one method per thing you actually do::
 
     session = Session("4x_volta", validate=True, trace=True)
     result = session.run(PageRankWorkload(), paradigm="proact")
-    profile = session.profile(PageRankWorkload(), search="exhaustive",
-                              prune=True)
+    profile = session.profile(PageRankWorkload(), strategy="search")
     reduced = session.collective("all_reduce", 16 << 20)
 
     print(result.runtime, profile.best_config.label())
@@ -207,9 +206,7 @@ class Session:
         with self.scope():
             return instance.execute(workload, self.platform)
 
-    def profile(self, workload, *, search: str = "coordinate",
-                strategy: Optional[str] = None,
-                prune: bool = False,
+    def profile(self, workload, *, strategy: str = "coordinate",
                 chunk_sizes: Optional[Sequence[int]] = None,
                 thread_counts: Optional[Sequence[int]] = None,
                 mechanisms: Optional[Sequence[str]] = None,
@@ -219,11 +216,9 @@ class Session:
 
         ``strategy`` names the search mode (``"coordinate"``,
         ``"exhaustive"``, or ``"search"`` for the floor-seeded
-        autotuner) and takes precedence over the older ``search``
-        keyword, which remains as an alias.  ``prune=True`` (exhaustive
-        search only) enables the infinite-bandwidth lower-bound early
-        exit — same argmin, fewer full measurements.  ``jobs`` selects
-        the warm-worker process-pool backend.  ``progress`` streams live
+        autotuner: the exhaustive argmin from fewer full measurements).
+        ``jobs`` selects the warm-worker process-pool backend.
+        ``progress`` streams live
         :class:`~repro.core.profiler.SweepProgress` snapshots — ``True``
         for a stderr status line per wave, or any callable sink.
         Returns a :class:`~repro.core.profiler.ProfileResult`.
@@ -231,17 +226,14 @@ class Session:
         from repro.core.config import (PROFILE_CHUNK_SIZES,
                                        PROFILE_THREAD_COUNTS)
         from repro.core.config import ALL_MECHANISMS
-        from repro.core.profiler import ParallelProfiler, Profiler
-        kwargs: Dict[str, Any] = dict(
+        from repro.core.profiler import ProcessPoolBackend, Profiler
+        profiler = Profiler(
+            self.platform,
             chunk_sizes=chunk_sizes or PROFILE_CHUNK_SIZES,
             thread_counts=thread_counts or PROFILE_THREAD_COUNTS,
-            mechanisms=mechanisms or ALL_MECHANISMS,
-            search=strategy if strategy is not None else search,
-            prune=prune, progress=progress, toggles=self.mechanisms)
-        if jobs is not None and jobs > 1:
-            profiler = ParallelProfiler(self.platform, jobs=jobs, **kwargs)
-        else:
-            profiler = Profiler(self.platform, **kwargs)
+            mechanisms=mechanisms or ALL_MECHANISMS, search=strategy,
+            backend=ProcessPoolBackend(jobs) if jobs is not None else None,
+            progress=progress, toggles=self.mechanisms)
         builder = (workload.phase_builder()
                    if hasattr(workload, "phase_builder") else workload)
         with self.scope():
@@ -267,12 +259,10 @@ class Session:
         from repro.collectives.tuner import CollectiveTuner
         from repro.core.config import PROFILE_CHUNK_SIZES
         from repro.core.profiler import ProcessPoolBackend
-        backend = (ProcessPoolBackend(jobs)
-                   if jobs is not None and jobs > 1 else None)
         tuner = CollectiveTuner(
             self.platform, collective, algorithms=algorithms,
             chunk_sizes=chunk_sizes or PROFILE_CHUNK_SIZES,
-            backend=backend)
+            backend=ProcessPoolBackend(jobs) if jobs is not None else None)
         with self.scope():
             if store is not None:
                 return store.get_or_tune(tuner, nbytes)
@@ -288,7 +278,7 @@ class Session:
         Builds a fresh system under the session's policy, launches the
         collective, runs the simulation until it finishes, and flushes
         observability — the whole
-        ``System``/``run``/``finish_observation`` dance in one call.
+        ``System``/``run``/:meth:`finish` dance in one call.
         Returns a :class:`~repro.collectives.executor.CollectiveResult`.
         """
         with self.scope():

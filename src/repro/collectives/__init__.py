@@ -11,7 +11,7 @@ payload bucket PROACT-profiler-style
 
 Typical use, via the system entry point::
 
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     proc = system.collective("all_reduce", 16 * MiB, algorithm="ring",
                              chunk_size=256 * KiB)
     result = system.run(until=proc)

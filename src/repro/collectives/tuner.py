@@ -157,6 +157,10 @@ class CollectiveTuner:
                     f"{collective} on {platform.num_gpus} GPUs")
         if not algorithms or not chunk_sizes:
             raise CollectiveError("tuner needs non-empty sweep ranges")
+        for axis, values in (("algorithms", algorithms),
+                             ("chunk_sizes", chunk_sizes)):
+            if len(set(values)) != len(values):
+                raise CollectiveError(f"duplicate {axis}: {tuple(values)}")
         self.platform = platform
         self.collective = collective
         self.algorithms = tuple(algorithms)
@@ -191,8 +195,9 @@ class CollectiveTuner:
         # Candidate runs build throwaway systems; keep them out of the
         # ambient trace so observed runs look identical across backends
         # (workers never see the parent's scope).
-        with suppress_observation():
-            entries = self.backend.run_tasks(measure_candidate, tasks)
+        with suppress_observation(), \
+                self.backend.open_session(measure_candidate) as session:
+            entries = session.map(tasks)
         result = CollectiveTuneResult(collective=self.collective,
                                       nbytes=nbytes, entries=entries)
         self._observe(nbytes, entries)

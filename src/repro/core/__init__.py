@@ -41,7 +41,6 @@ from repro.core.program import (
 )
 from repro.core.profiler import (
     ExecutorBackend,
-    ParallelProfiler,
     PhaseBuilder,
     ProcessPoolBackend,
     ProfileEntry,
@@ -100,7 +99,6 @@ __all__ = [
     "PhaseResult",
     "ProactPhaseExecutor",
     "Profiler",
-    "ParallelProfiler",
     "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -11,18 +11,33 @@ Three search modes:
 
 * ``"exhaustive"`` — the paper's brute force over the full grid;
 * ``"coordinate"`` (default) — sweep granularity at the largest thread
-  count, then threads at the best granularity; dramatically cheaper and
-  picks the same optimum whenever the two knobs are separable (they are,
-  in all the paper's workloads: granularity trades initiation against
-  tail, threads only gate copy bandwidth);
-* ``"search"`` — the floor-seeded autotuner (:meth:`Profiler.search`):
-  rank the grid by its infinite-bandwidth lower bounds, measure an
-  opening rung, hill-climb the (chunk x threads x mechanism) neighborhood
-  of the incumbent, then *certify* the answer by measuring every
-  remaining candidate whose floor could still win.  Because a candidate
-  is only ever skipped when its floor strictly exceeds the best measured
-  runtime, the chosen configuration is provably the exhaustive argmin —
-  the search just pays for far fewer full measurements.
+  count, then threads at the best granularity.  Far cheaper, and exact
+  whenever the two knobs are separable (granularity trades initiation
+  against tail, threads only gate copy bandwidth).  They are not always
+  separable: on the quick Table II grid coordinate picks a different
+  configuration than the exhaustive argmin for Kepler PageRank, SSSP
+  and ALS and for Pascal ALS (see EXPERIMENTS.md, Table II);
+* ``"search"`` — the floor-seeded autotuner: rank the grid by its
+  infinite-bandwidth lower bounds, measure an opening rung, hill-climb
+  the (chunk x threads x mechanism) neighborhood of the incumbent, then
+  *certify* the answer by measuring, best-first, every remaining
+  candidate whose floor could still win.
+
+The ``search`` certification is sound.  A candidate's floor is its
+runtime under an *infinite-bandwidth* fabric — transfers complete
+instantly, so the run is far cheaper to simulate (no per-quantum link
+events) and its runtime is a true lower bound on the real measurement
+(removing all interconnect time can only shorten the schedule; with
+``infinite_bw`` the decoupled agents also drop their copy-bandwidth
+throttle).  A candidate is skipped only when its floor *strictly*
+exceeds the best runtime measured so far: its real runtime would satisfy
+``runtime >= floor > incumbent``, so it can neither be the argmin nor
+tie the minimum.  Every entry the exhaustive sweep would rank first —
+including all runtime ties — is therefore measured, and
+:attr:`ProfileResult.best` is identical to brute force; the search just
+pays for far fewer full measurements.  On a parallel backend the
+certification measures one backend-width wave at a time, re-checking
+every candidate's floor against the freshest incumbent between waves.
 
 Execution backends
 ------------------
@@ -30,21 +45,20 @@ Execution backends
 Every measurement is an independent pure function of
 ``(platform, config, phase_builder)``, which makes the sweep
 embarrassingly parallel.  The profiler hands its measurements to an
-:class:`ExecutorBackend`:
+:class:`ExecutorBackend`, whose one entry point ``open_session(fn)``
+returns a :class:`TaskSession` that maps waves of tasks through ``fn``:
 
 * :class:`SerialBackend` (default) measures in-process, one by one;
 * :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep.
 
 The warm-worker protocol is what makes parallel sweeps actually pay off:
-the profiler opens one :class:`TaskSession` per ``profile()`` call, the
-backend ships the pickled sweep context (platform + phase builder, the
-expensive part) to each worker exactly once at pool init, and every
-subsequent task crossing the queue is a lightweight config delta —
-``(mechanism, chunk_size, threads, kind)`` tuples — batched to amortize
-queue round-trips.  Results come back in task order, so both backends
-produce byte-identical :class:`ProfileEntry` lists;
-:class:`ParallelProfiler` is a convenience wrapper selecting the
-process-pool backend.
+the profiler opens one session per ``profile()`` call, the backend ships
+the pickled sweep context (platform + phase builder, the expensive part)
+to each worker exactly once at pool init, and every subsequent task
+crossing the queue is a lightweight config delta — ``(mechanism,
+chunk_size, threads, kind)`` tuples — batched to amortize queue
+round-trips.  Results come back in task order, so both backends produce
+byte-identical :class:`ProfileEntry` lists.
 
 A worker process that dies mid-sweep (OOM kill, segfault, ``os._exit``)
 surfaces as a :class:`~repro.errors.ProactError` naming the in-flight
@@ -53,33 +67,6 @@ tasks instead of poisoning the pool silently.
 Ties on runtime are broken toward the smallest ``(chunk_size,
 transfer_threads)`` (then mechanism name), so the chosen configuration is
 reproducible across search modes, backends, and entry orderings.
-
-Lower-bound pruning
--------------------
-
-``Profiler(..., search="exhaustive", prune=True)`` skips configurations
-that provably cannot win.  For each candidate the profiler first runs the
-application under an *infinite-bandwidth* fabric — transfers complete
-instantly, so the run is far cheaper to simulate (no per-quantum link
-events) and its runtime is a true lower bound on the real measurement
-(removing all interconnect time can only shorten the schedule; with
-``infinite_bw`` the decoupled agents also drop their copy-bandwidth
-throttle).  A candidate whose floor *strictly* exceeds the best runtime
-measured so far is skipped: its real runtime would satisfy
-``runtime >= floor > incumbent``, so it can neither be the argmin nor tie
-the minimum.  Every entry the unpruned sweep would rank first — including
-all runtime ties — is therefore still measured, and
-:attr:`ProfileResult.best` is identical to brute force.
-
-Pruning is restricted to exhaustive search because coordinate search's
-second wave *depends on* the first wave's per-mechanism winners; removing
-first-wave points could redirect the second wave.  The floors for the
-whole grid are computed first (they are cheap and embarrassingly
-parallel), candidates are then visited **best-first** — smallest floor
-first — so the incumbent is tight almost immediately and pruning
-compounds with parallelism: on a parallel backend the sweep measures one
-backend-width wave at a time, re-checking every candidate's floor against
-the freshest incumbent between waves.
 
 Sweep telemetry
 ---------------
@@ -181,9 +168,9 @@ def _config_order(config: ProactConfig) -> Tuple[int, int, str]:
 class ProfileResult:
     """Outcome of a profiling pass.
 
-    ``pruned_configs``/``floor_runs`` are only non-zero for pruned and
-    searched sweeps: how many candidates were skipped outright, and how
-    many infinite-bandwidth floor simulations were paid to decide.
+    ``pruned_configs``/``floor_runs`` are only non-zero for ``search``
+    sweeps: how many candidates were skipped outright, and how many
+    infinite-bandwidth floor simulations were paid to decide.
     """
 
     entries: List[ProfileEntry]
@@ -341,16 +328,14 @@ class TaskSession:
         self.close()
 
 
-class _FallbackSession(TaskSession):
-    """A session for backends that only implement ``run_tasks``."""
+class _InProcessSession(TaskSession):
+    """Runs every task in the calling process, in task order."""
 
-    def __init__(self, backend: "ExecutorBackend",
-                 fn: Callable[[Any], Any]) -> None:
-        self.backend = backend
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
 
     def map(self, tasks: Sequence[Any]) -> List[Any]:
-        return self.backend.run_tasks(self.fn, tasks)
+        return [self.fn(task) for task in tasks]
 
 
 class _WarmPoolSession(TaskSession):
@@ -407,55 +392,33 @@ class _WarmPoolSession(TaskSession):
 # ---------------------------------------------------------------------------
 
 class ExecutorBackend:
-    """Strategy for measuring independent tasks.
+    """Strategy for running one sweep's independent tasks.
 
-    ``run_tasks`` is the generic one-shot seam: apply a picklable pure
-    function to a sequence of independent tasks and return the results
-    in task order.  The collective tuner's (algorithm x chunk size)
-    sweep (:mod:`repro.collectives.tuner`) rides it — any embarrassingly
-    parallel measurement loop gets serial and process-pool execution for
-    free.
-
-    ``open_session`` is the sweep-scoped seam the profiler uses: the
-    task function is shipped to the execution substrate once, and the
-    returned :class:`TaskSession` maps many waves of lightweight tasks
-    against it.  The default implementation simply routes each ``map``
-    through ``run_tasks``, so custom backends that only override
-    ``run_tasks`` keep working.
+    ``open_session(fn)`` ships a picklable pure function to the
+    execution substrate once; the returned :class:`TaskSession` then
+    maps many waves of lightweight tasks through it, returning results
+    in task order.  The profiler and the collective tuner
+    (:mod:`repro.collectives.tuner`) both sweep through this seam, so
+    any embarrassingly parallel measurement loop gets serial and
+    process-pool execution for free.
 
     ``parallelism`` is how many tasks the backend can usefully run at
-    once; the pruned/search sweeps use it to size their measurement
-    waves (one incumbent update per wave).
-
-    ``measure_wave`` must return entries in the same order as
-    ``configs``; callers rely on positional correspondence.
+    once; the search sweep uses it to size its measurement waves (one
+    incumbent update per wave).
     """
 
-    #: Concurrent task capacity (wave sizing for pruned/search sweeps).
+    #: Concurrent task capacity (wave sizing for the search sweep).
     parallelism: int = 1
 
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        raise NotImplementedError
-
     def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
-        return _FallbackSession(self, fn)
-
-    def measure_wave(self, platform: PlatformSpec,
-                     configs: Sequence[ProactConfig],
-                     phase_builder: PhaseBuilder) -> List[ProfileEntry]:
-        return self.run_tasks(
-            functools.partial(measure_config, platform,
-                              phase_builder=phase_builder),
-            configs)
+        raise NotImplementedError
 
 
 class SerialBackend(ExecutorBackend):
     """Measure in-process, one task at a time."""
 
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        return [fn(task) for task in tasks]
+    def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
+        return _InProcessSession(fn)
 
 
 class ProcessPoolBackend(ExecutorBackend):
@@ -467,13 +430,12 @@ class ProcessPoolBackend(ExecutorBackend):
     (platform specs, configs, collective tuning candidates, and the
     workloads' bound ``build_phases`` methods all are).
 
-    The pool is *warm*: opened once per sweep session with the task
-    function pre-installed in every worker, after which only small task
-    tuples cross the queue (see the module docstring).  One-shot
-    ``run_tasks`` calls get the same treatment — the function is still
-    shipped once, not once per task.  A worker that dies mid-sweep
-    raises :class:`~repro.errors.ProactError` naming the in-flight
-    batch.
+    The pool is *warm*: opened once per session with the task function
+    pre-installed in every worker, after which only small task tuples
+    cross the queue (see the module docstring).  ``jobs=1`` runs
+    in-process, exactly like :class:`SerialBackend`.  A worker that dies
+    mid-sweep raises :class:`~repro.errors.ProactError` naming the
+    in-flight batch.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -487,17 +449,8 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
         if self.jobs == 1:
-            return _FallbackSession(SerialBackend(), fn)
+            return _InProcessSession(fn)
         return _WarmPoolSession(fn, self.jobs)
-
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        if not tasks:
-            return []
-        if min(self.jobs, len(tasks)) == 1:
-            return SerialBackend().run_tasks(fn, tasks)
-        with self.open_session(fn) as session:
-            return session.map(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +651,6 @@ class _SweepTelemetry:
         self.started = time.perf_counter()
         self._best: Optional[ProfileEntry] = None
 
-    def wrap_session(self, session: TaskSession) -> TaskSession:
-        """Telemetry-wrap a session (identity unless capturing sweeps)."""
-        if self.observation is None:
-            return session
-        return _TelemetrySession(session, self)
-
     def _log(self, kind: str, config: Optional[str] = None,
              **payload: Any) -> None:
         if self.observation is not None:
@@ -798,7 +745,6 @@ class Profiler:
                  mechanisms: Sequence[str] = ALL_MECHANISMS,
                  search: str = "coordinate",
                  backend: Optional[ExecutorBackend] = None,
-                 prune: bool = False,
                  progress: ProgressSink = None,
                  toggles: Optional[Mechanisms] = None) -> None:
         if search not in SEARCH_MODES:
@@ -807,12 +753,13 @@ class Profiler:
                 f"expected one of {SEARCH_MODES}")
         if not chunk_sizes or not thread_counts or not mechanisms:
             raise ProactError("profiler needs non-empty sweep ranges")
-        if prune and search != "exhaustive":
-            raise ProactError(
-                "prune=True requires search='exhaustive': coordinate "
-                "search's second wave depends on unpruned first-wave "
-                "winners, and 'search' already prunes via its floor "
-                "certification")
+        for axis, values in (("chunk_sizes", chunk_sizes),
+                             ("thread_counts", thread_counts),
+                             ("mechanisms", mechanisms)):
+            if len(set(values)) != len(values):
+                # A repeated value would be measured twice and key the
+                # sweep under a signature no deduplicated grid matches.
+                raise ProactError(f"duplicate {axis}: {tuple(values)}")
         #: Mechanism-ablation policy applied to every measurement
         #: (``None`` = all on).  With ``decoupled_agent`` ablated the
         #: sweep space collapses to inline only.
@@ -827,11 +774,9 @@ class Profiler:
         self.chunk_sizes = tuple(sorted(chunk_sizes))
         self.thread_counts = tuple(sorted(thread_counts))
         self.mechanisms = tuple(mechanisms)
-        #: The configured mode string; ``search`` itself is the
-        #: autotuner entry point, hence the attribute name.
+        #: The configured mode: one of :data:`SEARCH_MODES`.
         self.search_mode = search
         self.backend = backend or SerialBackend()
-        self.prune = prune
         #: Live-progress sink: True for stderr, or a callback taking
         #: :class:`SweepProgress` snapshots (independent of capture).
         self.progress = progress
@@ -853,10 +798,6 @@ class Profiler:
         mechanisms = ",".join(self.mechanisms)
         signature = (f"{self.search_mode}|mech={mechanisms}|chunks={chunks}"
                      f"|threads={threads}")
-        if self.prune:
-            # A pruned sweep picks the same winner but records fewer
-            # entries, so it must not share cache hits with brute force.
-            signature += "|pruned"
         if self.toggles is not None and not self.toggles.all_enabled:
             # Ablated sweeps measure a different model; never share
             # cache hits with the unablated grid.
@@ -898,8 +839,7 @@ class Profiler:
                                platform=self.platform.name)
 
     def _open_session(self, phase_builder: PhaseBuilder,
-                      telemetry: Optional[_SweepTelemetry] = None,
-                      ) -> TaskSession:
+                      telemetry: _SweepTelemetry) -> TaskSession:
         """One warm session per sweep: platform + builder ship once.
 
         Under ``capture(sweeps=True)`` the task function is wrapped in
@@ -910,10 +850,10 @@ class Profiler:
         fn: Callable[[Any], Any] = functools.partial(
             _sweep_task, self.platform, phase_builder,
             toggles=self.toggles)
-        if telemetry is not None and telemetry.observation is not None:
-            return telemetry.wrap_session(
-                self.backend.open_session(_TelemetryFn(fn)))
-        return self.backend.open_session(fn)
+        if telemetry.observation is None:
+            return self.backend.open_session(fn)
+        return _TelemetrySession(
+            self.backend.open_session(_TelemetryFn(fn)), telemetry)
 
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
         """Run the sweep for one application.
@@ -922,20 +862,18 @@ class Profiler:
         any backend (serial or parallel) produces identical entries in
         identical order: first every mechanism's opening sweep, then —
         for coordinate search — the thread sweep at each mechanism's
-        best granularity.  ``search="search"`` dispatches to
-        :meth:`search`; ``prune=True`` to the best-first pruned sweep.
+        best granularity.  ``search="search"`` runs the floor-seeded
+        autotuner instead (see the module docstring).
         """
         telemetry = self._sweep_telemetry()
         with self._open_session(phase_builder, telemetry) as session:
             if self.search_mode == "search":
                 return self._profile_search(session, telemetry)
-            if self.prune:
-                return self._profile_pruned(session, telemetry)
             first_wave = {mechanism: self._first_wave(mechanism)
                           for mechanism in self.mechanisms}
             measured = self._split_by_mechanism(
                 first_wave,
-                self._measure_wave(first_wave, session, telemetry))
+                self._run_wave(first_wave, session, telemetry))
 
             if self.search_mode == "coordinate":
                 second_wave = {
@@ -944,7 +882,7 @@ class Profiler:
                     for mechanism in self.mechanisms}
                 second = self._split_by_mechanism(
                     second_wave,
-                    self._measure_wave(second_wave, session, telemetry))
+                    self._run_wave(second_wave, session, telemetry))
                 for mechanism in self.mechanisms:
                     measured[mechanism].extend(second[mechanism])
 
@@ -952,23 +890,6 @@ class Profiler:
             return ProfileResult(entries=[
                 entry for mechanism in self.mechanisms
                 for entry in measured[mechanism]])
-
-    def search(self, phase_builder: PhaseBuilder) -> ProfileResult:
-        """Search-based autotuning: exhaustive argmin, far fewer runs.
-
-        Works from any profiler regardless of its configured mode.  The
-        loop (see the module docstring): compute the infinite-bandwidth
-        floor for every grid point (cheap, fully parallel), measure an
-        opening rung of the floor ranking, hill-climb the incumbent's
-        (chunk x threads x mechanism) neighborhood, then certify by
-        measuring every remaining candidate whose floor does not
-        strictly exceed the incumbent.  Skipping only on
-        ``floor > incumbent`` makes the result provably identical to the
-        exhaustive argmin (including tie-breaks).
-        """
-        telemetry = self._sweep_telemetry()
-        with self._open_session(phase_builder, telemetry) as session:
-            return self._profile_search(session, telemetry)
 
     # ------------------------------------------------------------------
     # Grid helpers
@@ -987,73 +908,14 @@ class Profiler:
         return grid
 
     def _floors(self, candidates: Sequence[ProactConfig],
-                session: TaskSession,
-                telemetry: Optional[_SweepTelemetry] = None,
+                session: TaskSession, telemetry: _SweepTelemetry,
                 ) -> Dict[ProactConfig, float]:
         """Infinite-bandwidth lower bounds for every candidate."""
         with suppress_observation():
-            floors = session.map([_floor_task(config)
-                                  for config in candidates])
-        floors_map = dict(zip(candidates, floors))
-        if telemetry is not None:
-            telemetry.floors_done(floors_map)
-        return floors_map
-
-    def _best_first(self, candidates: Sequence[ProactConfig],
-                    floors: Dict[ProactConfig, float],
-                    ) -> List[ProactConfig]:
-        """Smallest floor first; ties toward the smallest config."""
-        return sorted(candidates,
-                      key=lambda c: (floors[c], _config_order(c)))
-
-    # ------------------------------------------------------------------
-    # Lower-bound pruning (exhaustive search only)
-    # ------------------------------------------------------------------
-    def _profile_pruned(self, session: TaskSession,
-                        telemetry: _SweepTelemetry) -> ProfileResult:
-        """Best-first exhaustive sweep under the infinite-BW lower bound.
-
-        Skips a candidate only when ``floor > incumbent`` *strictly*, so
-        every entry that could be the argmin — or tie it — is measured;
-        see the module docstring for the soundness argument.  Candidates
-        are measured one backend-width wave at a time so the incumbent
-        tightens as early as parallelism allows; the serial wave size of
-        one reproduces the classic sequential pruning loop.
-        """
-        candidates = self._full_grid()
-        floors = self._floors(candidates, session, telemetry)
-        ordered = self._best_first(candidates, floors)
-        wave_size = max(1, self.backend.parallelism)
-
-        entries: List[ProfileEntry] = []
-        pruned = 0
-        incumbent = math.inf
-        cursor = 0
-        while cursor < len(ordered):
-            wave: List[ProactConfig] = []
-            while cursor < len(ordered) and len(wave) < wave_size:
-                config = ordered[cursor]
-                cursor += 1
-                if floors[config] > incumbent:
-                    pruned += 1
-                    telemetry.pruned_config(config, floors[config],
-                                            incumbent)
-                    continue
-                wave.append(config)
-            if not wave:
-                continue
-            with suppress_observation():
-                measured = session.map([_measure_task(config)
-                                        for config in wave])
-            entries.extend(measured)
-            telemetry.measured_entries(measured)
-            incumbent = min(incumbent,
-                            min(entry.runtime for entry in measured))
-            telemetry.tick("measure")
-        self._observe_entries(entries)
-        telemetry.done()
-        return ProfileResult(entries=entries, pruned_configs=pruned,
-                             floor_runs=len(candidates))
+            floors = dict(zip(candidates, session.map(
+                [_floor_task(config) for config in candidates])))
+        telemetry.floors_done(floors)
+        return floors
 
     # ------------------------------------------------------------------
     # Search-based autotuning
@@ -1095,7 +957,9 @@ class Profiler:
         """The floor-seeded rung + hill-climb + certification loop."""
         candidates = self._full_grid()
         floors = self._floors(candidates, session, telemetry)
-        ranked = self._best_first(candidates, floors)
+        # Best-first: smallest floor first, ties toward the smallest config.
+        ranked = sorted(candidates,
+                        key=lambda c: (floors[c], _config_order(c)))
         wave_size = max(1, self.backend.parallelism)
 
         entries: List[ProfileEntry] = []
@@ -1191,9 +1055,8 @@ class Profiler:
         return [ProactConfig(mechanism, best_chunk, threads)
                 for threads in self.thread_counts[:-1]]
 
-    def _measure_wave(self, wave: Dict[str, List[ProactConfig]],
-                      session: TaskSession,
-                      telemetry: Optional[_SweepTelemetry] = None,
+    def _run_wave(self, wave: Dict[str, List[ProactConfig]],
+                      session: TaskSession, telemetry: _SweepTelemetry,
                       ) -> List[ProfileEntry]:
         flat = [config for mechanism in self.mechanisms
                 for config in wave[mechanism]]
@@ -1205,9 +1068,8 @@ class Profiler:
         with suppress_observation():
             entries = session.map([_measure_task(config)
                                    for config in flat])
-        if telemetry is not None:
-            telemetry.measured_entries(entries)
-            telemetry.tick("measure")
+        telemetry.measured_entries(entries)
+        telemetry.tick("measure")
         self._observe_entries(entries)
         return entries
 
@@ -1240,35 +1102,3 @@ class Profiler:
             split[mechanism] = list(entries[cursor:cursor + count])
             cursor += count
         return split
-
-    def _measure(self, config: ProactConfig,
-                 phase_builder: PhaseBuilder) -> ProfileEntry:
-        return measure_config(self.platform, config, phase_builder,
-                              toggles=self.toggles)
-
-
-class ParallelProfiler(Profiler):
-    """A :class:`Profiler` that fans each sweep over warm workers.
-
-    ``ParallelProfiler(platform, jobs=4)`` returns entries identical to
-    ``Profiler(platform)`` — same configs, same runtimes, same order for
-    the coordinate and exhaustive modes — the sweep just completes up to
-    ``jobs`` times faster.  The pruned and search modes additionally use
-    ``jobs`` to size their measurement waves; their chosen configuration
-    (and its bitwise runtime) is still identical to the serial answer.
-    """
-
-    def __init__(self, platform: PlatformSpec,
-                 chunk_sizes: Sequence[int] = PROFILE_CHUNK_SIZES,
-                 thread_counts: Sequence[int] = PROFILE_THREAD_COUNTS,
-                 mechanisms: Sequence[str] = ALL_MECHANISMS,
-                 search: str = "coordinate",
-                 jobs: int = 2,
-                 prune: bool = False,
-                 progress: ProgressSink = None,
-                 toggles: Optional[Mechanisms] = None) -> None:
-        super().__init__(platform, chunk_sizes=chunk_sizes,
-                         thread_counts=thread_counts, mechanisms=mechanisms,
-                         search=search, backend=ProcessPoolBackend(jobs),
-                         prune=prune, progress=progress, toggles=toggles)
-        self.jobs = jobs

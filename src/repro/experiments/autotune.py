@@ -1,8 +1,8 @@
 """Search autotuner vs. exhaustive sweep: same answer, fewer runs.
 
-The ``"search"`` profiler mode (:meth:`repro.core.profiler.Profiler.search`)
-claims two things: its chosen configuration is *provably* the exhaustive
-argmin (the floor-certification step only ever skips candidates whose
+The ``"search"`` profiler mode (``Profiler(search="search")``) claims
+two things: its chosen configuration is *provably* the exhaustive argmin
+(the floor-certification step only ever skips candidates whose
 infinite-bandwidth lower bound strictly exceeds the measured incumbent),
 and it gets there with far fewer full measurements.  This harness checks
 both claims end to end, per workload, on a grid small enough to also run
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.profiler import ParallelProfiler, Profiler
+from repro.core.profiler import ProcessPoolBackend, Profiler
 from repro.errors import ProactError
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
@@ -34,12 +34,9 @@ FULL_THREAD_COUNTS = (512, 1024, 2048, 4096, 8192)
 
 def _profiler(platform: PlatformSpec, search: str,
               thread_counts: Sequence[int], jobs: int) -> Profiler:
-    if jobs > 1:
-        return ParallelProfiler(platform, chunk_sizes=SWEEP_CHUNK_SIZES,
-                                thread_counts=thread_counts,
-                                search=search, jobs=jobs)
     return Profiler(platform, chunk_sizes=SWEEP_CHUNK_SIZES,
-                    thread_counts=thread_counts, search=search)
+                    thread_counts=thread_counts, search=search,
+                    backend=ProcessPoolBackend(jobs))
 
 
 def run(platform: Optional[PlatformSpec] = None,

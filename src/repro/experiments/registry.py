@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import importlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,14 +64,12 @@ class ExperimentContext:
     keeps going and exits non-zero).  Like observation, validation only
     checks — it never changes what an experiment computes.
 
-    ``profile_strategy`` selects the profiler search mode for the
-    experiments that sweep configuration spaces (``"coordinate"``,
-    ``"exhaustive"``, or ``"search"`` for the floor-seeded autotuner),
-    and ``profile_jobs`` fans each of those sweeps over that many warm
-    worker processes.  Both default to the historical serial coordinate
-    sweep, so existing tables are byte-identical unless explicitly
-    overridden (``--profile-strategy`` / ``--profile-jobs`` on the
-    runner CLI).
+    ``profile`` is the :class:`ProfilePolicy` for the experiments that
+    sweep configuration spaces: its search mode and how many warm worker
+    processes fan each sweep.  It defaults to the historical serial
+    coordinate sweep, so existing tables are byte-identical unless
+    explicitly overridden (``--profile-strategy`` / ``--profile-jobs``
+    on the runner CLI).
 
     ``sweeps`` additionally captures profiler sweep telemetry (worker
     lanes, the search/prune decision log, sweep histograms — see
@@ -84,38 +81,8 @@ class ExperimentContext:
     quick: bool = True
     observe: bool = False
     validate: bool = False
-    #: .. deprecated:: 1.1  Use ``profile=ProfilePolicy(strategy=...)``.
-    profile_strategy: str = "coordinate"
-    #: .. deprecated:: 1.1  Use ``profile=ProfilePolicy(jobs=...)``.
-    profile_jobs: int = 1
     sweeps: bool = False
-    #: The profiler policy; supersedes the two legacy fields above.
-    profile: Optional[ProfilePolicy] = None
-
-    def __post_init__(self) -> None:
-        legacy = (self.profile_strategy != "coordinate"
-                  or self.profile_jobs != 1)
-        if self.profile is None:
-            if legacy:
-                warnings.warn(
-                    "ExperimentContext(profile_strategy=/profile_jobs=) "
-                    "is deprecated; pass profile=ProfilePolicy(strategy"
-                    "=..., jobs=...) instead",
-                    DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "profile", ProfilePolicy(
-                strategy=self.profile_strategy, jobs=self.profile_jobs))
-        else:
-            if legacy and (self.profile.strategy != self.profile_strategy
-                           or self.profile.jobs != self.profile_jobs):
-                raise ProactError(
-                    "conflicting profiler policies: profile="
-                    f"{self.profile} vs legacy profile_strategy="
-                    f"{self.profile_strategy!r}/profile_jobs="
-                    f"{self.profile_jobs}")
-            # Keep the legacy attributes mirrored so old readers work.
-            object.__setattr__(self, "profile_strategy",
-                               self.profile.strategy)
-            object.__setattr__(self, "profile_jobs", self.profile.jobs)
+    profile: ProfilePolicy = DEFAULT_PROFILE_POLICY
 
     @property
     def micro_bytes(self) -> int:

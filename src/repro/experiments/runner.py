@@ -56,6 +56,7 @@ import time
 from typing import List, Optional, Sequence, TextIO
 
 from repro.experiments.registry import (
+    DEFAULT_PROFILE_POLICY,
     ExperimentContext,
     ExperimentResult,
     ProfilePolicy,
@@ -190,9 +191,7 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
             report_path: Optional[str] = None,
             sweep_telemetry: bool = False,
             validate: bool = False,
-            profile_strategy: str = "coordinate",
-            profile_jobs: int = 1,
-            profile: Optional[ProfilePolicy] = None
+            profile: ProfilePolicy = DEFAULT_PROFILE_POLICY
             ) -> List[ExperimentResult]:
     """Run the experiment suite, printing each table as it completes.
 
@@ -212,16 +211,12 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
     tripped invariant records as that experiment's failure.
     ``profile`` is the :class:`~repro.experiments.registry.ProfilePolicy`
     selecting the profiler search mode and warm-worker parallelism for
-    the sweep-driven experiments; the ``profile_strategy``/
-    ``profile_jobs`` spellings remain as deprecated aliases.
+    the sweep-driven experiments.
     """
     stream = out or sys.stdout
     names = [spec.name for spec in select_specs(only)]
     observe = (trace_path is not None or metrics_path is not None
                or report_path is not None or sweep_telemetry)
-    if profile is None:
-        profile = ProfilePolicy(strategy=profile_strategy,
-                                jobs=profile_jobs)
     ctx = ExperimentContext(quick=quick, observe=observe,
                             validate=validate,
                             profile=profile,

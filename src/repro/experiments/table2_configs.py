@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PROFILE_CHUNK_SIZES, PROFILE_THREAD_COUNTS
-from repro.core.profiler import ParallelProfiler, Profiler
+from repro.core.profiler import ProcessPoolBackend, Profiler
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import FOUR_GPU_PLATFORMS, PlatformSpec
@@ -70,13 +70,9 @@ def run(platforms: Sequence[PlatformSpec] = FOUR_GPU_PLATFORMS,
         platforms=[p.name for p in platforms],
         workloads=[w.name for w in workload_list])
     for platform in platforms:
-        if jobs > 1:
-            profiler: Profiler = ParallelProfiler(
-                platform, chunk_sizes=chunk_sizes,
-                thread_counts=thread_counts, search=search, jobs=jobs)
-        else:
-            profiler = Profiler(platform, chunk_sizes=chunk_sizes,
-                                thread_counts=thread_counts, search=search)
+        profiler = Profiler(platform, chunk_sizes=chunk_sizes,
+                            thread_counts=thread_counts, search=search,
+                            backend=ProcessPoolBackend(jobs))
         for workload in workload_list:
             profile = profiler.profile(workload.phase_builder())
             best = profile.best

@@ -178,7 +178,7 @@ def _run_with_fabric(paradigm: Paradigm, workload: Workload,
 
     The run records into its own :class:`~repro.sim.trace.Tracer`; link
     occupancy is flushed as merged busy spans by
-    :meth:`~repro.runtime.system.System.finish_observation` and the
+    :meth:`~repro.runtime.system.System._finish_observation` and the
     utilization profile is bucketed from those trace lanes — the same
     data a ``--trace`` export would show.
     """

@@ -65,7 +65,7 @@ class Link:
         tracer = self.engine.tracer
         if tracer.enabled and tracer.verbose:
             # Per-quantum service spans are verbose-only: the merged
-            # occupancy lane is flushed by System.finish_observation().
+            # occupancy lane is flushed by System._finish_observation().
             channel = (f"gpu{self.owner_gpu}.link:{self.name}"
                        if self.owner_gpu is not None
                        else f"link:{self.name}")

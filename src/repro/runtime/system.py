@@ -5,7 +5,7 @@
 per-GPU devices.  Every simulation in this library — microbenchmark,
 profiler run, end-to-end application — starts by building a ``System``.
 
-    system = System.from_name("4x_pascal")
+    system = Session("4x_pascal").system()
     kernel = system.devices[0].launch_kernel("produce", work=1e-3)
     system.run(until=kernel.done)
 """
@@ -13,12 +13,11 @@ profiler run, end-to-end application — starts by building a ``System``.
 from __future__ import annotations
 
 import typing
-import warnings
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.gpu import Gpu
-from repro.hw.platform import PlatformSpec, platform_by_name
+from repro.hw.platform import PlatformSpec
 from repro.interconnect.fabric import Fabric
 from repro.interconnect.packet import raw_format
 from repro.interconnect.link import DEFAULT_QUANTUM
@@ -41,9 +40,9 @@ class System:
     system inside an ambient :func:`repro.obs.capture` scope and it
     receives a fresh tracer plus the scope's shared metrics registry
     automatically.  Both default to shared no-ops, so an unobserved
-    simulation pays nothing.  Call :meth:`finish_observation` after the
-    run to flush derived lanes (merged link occupancy) and run totals
-    into them.
+    simulation pays nothing.  Call
+    :meth:`repro.api.Session.finish` after a hand-driven run to flush
+    derived lanes (merged link occupancy) and run totals into them.
     """
 
     def __init__(self, spec: PlatformSpec, infinite_bw: bool = False,
@@ -107,24 +106,6 @@ class System:
             from repro.validate.conservation import ConservationChecker
             self.checker = ConservationChecker(self)
 
-    @classmethod
-    def from_name(cls, name: str, infinite_bw: bool = False,
-                  num_gpus: Optional[int] = None) -> "System":
-        """Build one of the paper's Table I systems by name.
-
-        .. deprecated:: 1.1
-            Use :class:`repro.api.Session` —
-            ``Session(name).system()`` builds the same system and wires
-            the session's observability/validation policy in.
-        """
-        warnings.warn(
-            "System.from_name() is deprecated; use "
-            "repro.api.Session(name).system() (or System(platform_by_name"
-            "(name)) for scope-free construction)",
-            DeprecationWarning, stacklevel=2)
-        return cls(platform_by_name(name), infinite_bw=infinite_bw,
-                   num_gpus=num_gpus)
-
     @property
     def num_gpus(self) -> int:
         return self.spec.num_gpus
@@ -147,20 +128,6 @@ class System:
             self.checker = ConservationChecker(self)
         return self.engine.sanitizer
 
-    def attach_validation(self) -> ReadinessSanitizer:
-        """Deprecated public alias of the validation installer.
-
-        .. deprecated:: 1.1
-            Use :class:`repro.api.Session` with ``validate=True`` —
-            every system built through the session is sanitized
-            automatically.
-        """
-        warnings.warn(
-            "System.attach_validation() is deprecated; build the system "
-            "through repro.api.Session(..., validate=True) instead",
-            DeprecationWarning, stacklevel=2)
-        return self._attach_validation()
-
     def _finish_validation(self) -> None:
         """End-of-run audit: conservation over every link, no open chunks.
 
@@ -169,20 +136,6 @@ class System:
         """
         if self.checker is not None:
             self.checker.check(self.now)
-
-    def finish_validation(self) -> None:
-        """Deprecated public alias of the end-of-run validation audit.
-
-        .. deprecated:: 1.1
-            Session entry points (``run``/``profile``/``collective``)
-            finish validation themselves; only hand-driven systems need
-            this, via the underscore internals.
-        """
-        warnings.warn(
-            "System.finish_validation() is deprecated; use repro.api."
-            "Session entry points, which finish validation automatically",
-            DeprecationWarning, stacklevel=2)
-        self._finish_validation()
 
     @property
     def now(self) -> float:
@@ -228,20 +181,6 @@ class System:
             gpus_per_node=getattr(self.spec, "gpus_per_node", None))
         executor = CollectiveExecutor(self, access_size=access_size)
         return executor.launch(schedule)
-
-    def finish_observation(self) -> None:
-        """Deprecated public alias of the end-of-run observability flush.
-
-        .. deprecated:: 1.1
-            Session entry points (``run``/``profile``/``collective``)
-            flush observability themselves; only hand-driven systems
-            need this, via the underscore internals.
-        """
-        warnings.warn(
-            "System.finish_observation() is deprecated; use repro.api."
-            "Session entry points, which flush observability automatically",
-            DeprecationWarning, stacklevel=2)
-        self._finish_observation()
 
     def _finish_observation(self) -> None:
         """Flush end-of-run observability: link lanes and run totals.

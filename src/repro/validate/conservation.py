@@ -10,7 +10,7 @@ bytes all mean the timing model silently corrupted itself — exactly the
 class of bug that would fabricate a speedup.
 
 Checks run at every phase barrier (cheap: one pass over the links) and
-once more at the end of a run via :meth:`System.finish_validation`.
+once more at the end of a run via :meth:`repro.api.Session.finish`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ Covers the acceptance properties:
 
 import pytest
 
+from repro.api import Session
 from repro.collectives import (
     ALGO_DIRECT,
     ALGO_RING,
@@ -124,7 +125,7 @@ def test_chunking_overlaps_ring_hops():
 # ---------------------------------------------------------------------------
 
 def test_system_collective_entry_point():
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     proc = system.collective("all_reduce", 4 * MiB, algorithm="ring",
                              chunk_size=256 * KiB)
     result = system.run(until=proc)
@@ -137,7 +138,7 @@ def test_system_collective_entry_point():
 
 
 def test_fabric_send_to_self_is_zero_cost():
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     event = system.fabric.send(2, 2, 1 * MiB, access_size=256)
     receipt = system.run(until=event)
     assert isinstance(receipt, TransferReceipt)
@@ -149,7 +150,7 @@ def test_fabric_send_to_self_is_zero_cost():
 
 
 def test_fabric_send_to_self_still_validates():
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     with pytest.raises(ConfigurationError):
         system.fabric.send(7, 7, 1 * MiB, access_size=256)
     with pytest.raises(ConfigurationError):
@@ -169,7 +170,7 @@ def test_single_gpu_collective_completes_instantly():
 
 
 def test_executor_rejects_mismatched_gpu_count():
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     schedule = build_schedule(COLL_ALL_REDUCE, ALGO_RING, 8, 1 * MiB,
                               256 * KiB)
     with pytest.raises(CollectiveError):

@@ -85,6 +85,17 @@ def test_tuner_validates_inputs():
                         algorithms=["tree"])
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("algorithms", ["ring", "tree", "ring"]),
+    ("chunk_sizes", (256 * KiB, 256 * KiB)),
+])
+def test_tuner_rejects_duplicate_grid_values(axis, values):
+    # A repeated value would sweep the same candidate twice and key the
+    # plan under a signature no deduplicated grid matches.
+    with pytest.raises(CollectiveError, match=f"duplicate {axis}"):
+        CollectiveTuner(VOLTA, COLL_ALL_REDUCE, **{axis: values})
+
+
 def test_sweep_signature_distinguishes_grids():
     base = CollectiveTuner(VOLTA, COLL_ALL_REDUCE, chunk_sizes=CHUNKS)
     other_chunks = CollectiveTuner(VOLTA, COLL_ALL_REDUCE,
@@ -136,7 +147,7 @@ def test_plan_store_get_or_tune_caches(tmp_path):
     assert len(store) == 1
 
     class ExplodingBackend(SerialBackend):
-        def run_tasks(self, fn, tasks):
+        def open_session(self, fn):
             raise AssertionError("cache hit expected; sweep re-ran")
 
     cached_tuner = CollectiveTuner(VOLTA, COLL_ALL_REDUCE,

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.runtime.system import System
+from repro.api import Session
 
 #: One representative platform per physical topology.
 TOPOLOGY_PLATFORMS = ("4x_kepler", "4x_pascal", "16x_volta")
@@ -25,7 +25,7 @@ def _mirror(name: str) -> str:
 
 @pytest.mark.parametrize("platform_name", TOPOLOGY_PLATFORMS)
 def test_routes_exist_between_every_distinct_pair(platform_name):
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     for src, dst in itertools.permutations(range(system.num_gpus), 2):
         route = system.fabric.route(src, dst)
         assert route.src == src and route.dst == dst
@@ -37,7 +37,7 @@ def test_routes_exist_between_every_distinct_pair(platform_name):
 def test_route_symmetry_uses_mirrored_link_pairs(platform_name):
     # The reverse route must cross exactly the mirror of each forward
     # link, in reverse hop order — full-duplex pairs, no shared wires.
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     all_names = {link.name for link in system.fabric.links}
     for src, dst in itertools.combinations(range(system.num_gpus), 2):
         forward = [link.name for link in system.fabric.route(src, dst).links]
@@ -50,7 +50,7 @@ def test_route_symmetry_uses_mirrored_link_pairs(platform_name):
 
 @pytest.mark.parametrize("platform_name", TOPOLOGY_PLATFORMS)
 def test_every_link_has_its_mirror(platform_name):
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     names = {link.name for link in system.fabric.links}
     assert len(names) == len(system.fabric.links)  # no duplicate links
     for name in names:
@@ -61,7 +61,7 @@ def test_every_link_has_its_mirror(platform_name):
 def test_endpoint_disjoint_routes_share_no_links(platform_name):
     # Any two routes with disjoint endpoint sets must be link-disjoint:
     # the reason a ring's N simultaneous hops all run at full speed.
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     fabric = system.fabric
     pairs = list(itertools.permutations(range(system.num_gpus), 2))
     for (a, b), (c, d) in itertools.combinations(pairs, 2):
@@ -76,7 +76,7 @@ def test_endpoint_disjoint_routes_share_no_links(platform_name):
 def test_ring_hops_are_pairwise_link_disjoint(platform_name):
     # The exact schedule the ring algorithm issues: every GPU sends to
     # its successor simultaneously; no two hops may share a link.
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     n = system.num_gpus
     hop_links = [
         {id(link)
@@ -88,7 +88,7 @@ def test_ring_hops_are_pairwise_link_disjoint(platform_name):
 
 @pytest.mark.parametrize("platform_name", TOPOLOGY_PLATFORMS)
 def test_every_link_serves_some_route(platform_name):
-    system = System.from_name(platform_name)
+    system = Session(platform_name).system()
     used = set()
     for src, dst in itertools.permutations(range(system.num_gpus), 2):
         used.update(id(link) for link in system.fabric.route(src, dst).links)

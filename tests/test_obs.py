@@ -354,17 +354,17 @@ def test_multi_document_merge_keeps_worker_lanes_per_run():
 # ---------------------------------------------------------------------------
 
 def test_capture_scope_hands_systems_tracers():
-    from repro.runtime import System
+    from repro.api import Session
 
     assert active() is None
     with capture() as observation:
         assert active() is observation
-        system = System.from_name("4x_volta")
+        system = Session("4x_volta").system()
         assert system.tracer.enabled
         assert system.metrics is observation.metrics
         with suppress():
             assert active() is None
-            hidden = System.from_name("4x_volta")
+            hidden = Session("4x_volta").system()
             assert hidden.tracer is NULL_TRACER
         assert active() is observation
     assert active() is None
@@ -375,12 +375,13 @@ def test_capture_scope_hands_systems_tracers():
 
 
 def test_unobserved_system_costs_nothing():
-    from repro.runtime import System
+    from repro.api import Session
 
-    system = System.from_name("4x_volta")
+    session = Session("4x_volta")
+    system = session.system()
     assert system.tracer is NULL_TRACER
     assert not system.metrics.enabled
-    system.finish_observation()  # must be a silent no-op
+    session.finish(system)  # must be a silent no-op
     assert system.tracer.records == ()
 
 
@@ -395,6 +396,7 @@ def _traced_phase(mechanism=None, chunk_size=None):
         ProactConfig,
         ProactPhaseExecutor,
     )
+    from repro.api import Session
     from repro.hw import PLATFORM_4X_VOLTA
     from repro.runtime import KernelSpec, System
     from repro.units import MiB
@@ -413,7 +415,7 @@ def _traced_phase(mechanism=None, chunk_size=None):
                           chunk_size or 1 * MiB, 2048)
     executor = ProactPhaseExecutor(system, config)
     result = system.run(until=executor.execute(works))
-    system.finish_observation()
+    Session(PLATFORM_4X_VOLTA).finish(system)
     return system, result
 
 

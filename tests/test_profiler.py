@@ -8,7 +8,6 @@ from repro.core import (
     MECH_CDP,
     MECH_INLINE,
     MECH_POLLING,
-    ParallelProfiler,
     ProactConfig,
     Profiler,
 )
@@ -17,6 +16,8 @@ from repro.core.profiler import (
     ProcessPoolBackend,
     ProfileEntry,
     ProfileResult,
+    SerialBackend,
+    TaskSession,
     run_phases,
 )
 from repro.errors import ProactError
@@ -43,6 +44,19 @@ def test_profiler_validation():
         Profiler(PLATFORM_4X_VOLTA, search="random")
     with pytest.raises(ProactError):
         Profiler(PLATFORM_4X_VOLTA, chunk_sizes=())
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("chunk_sizes", (1 * MiB, 1 * MiB)),
+    ("thread_counts", (2048, 1024, 2048)),
+    ("mechanisms", (MECH_INLINE, MECH_POLLING, MECH_POLLING)),
+])
+def test_profiler_rejects_duplicate_grid_values(axis, values):
+    # A repeated value used to be measured twice (exhaustive), break the
+    # search's measure + prune == grid count, and key the sweep under a
+    # signature no deduplicated grid matches.
+    with pytest.raises(ProactError, match=f"duplicate {axis}"):
+        Profiler(PLATFORM_4X_VOLTA, **{axis: values})
 
 
 def test_profile_result_requires_entries():
@@ -137,25 +151,25 @@ def test_parallel_profiler_matches_serial_exactly():
         serial = Profiler(
             PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
             thread_counts=SMALL_THREADS, search=search).profile(builder)
-        parallel = ParallelProfiler(
+        parallel = Profiler(
             PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
             thread_counts=SMALL_THREADS, search=search,
-            jobs=4).profile(builder)
+            backend=ProcessPoolBackend(4)).profile(builder)
         assert serial.entries == parallel.entries
         assert serial.best == parallel.best
 
 
 def test_parallel_pruned_sweep_matches_serial_argmin():
-    # The best-first pruned sweep sizes its waves by the backend's
-    # parallelism; the skip condition is still strict, so the winner —
-    # config and bitwise runtime — must match the serial pruned sweep
-    # and brute force.
+    # The search sweep sizes its rung and certification waves by the
+    # backend's parallelism; the skip condition is still strict, so the
+    # winner — config and bitwise runtime — must match brute force.
     builder = small_pagerank().phase_builder()
-    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS,
-                  search="exhaustive")
-    brute = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
-    parallel = ParallelProfiler(PLATFORM_4X_VOLTA, prune=True, jobs=2,
-                                **kwargs).profile(builder)
+    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS)
+    brute = Profiler(PLATFORM_4X_VOLTA, search="exhaustive",
+                     **kwargs).profile(builder)
+    parallel = Profiler(PLATFORM_4X_VOLTA, search="search",
+                        backend=ProcessPoolBackend(2),
+                        **kwargs).profile(builder)
     assert parallel.best.config == brute.best.config
     assert parallel.best.runtime == brute.best.runtime
     measured = {entry.config: entry.runtime for entry in brute.entries}
@@ -178,8 +192,9 @@ def test_dying_worker_surfaces_error_with_offending_tasks():
     # surface as a bare BrokenProcessPool with no hint of which config
     # was in flight.
     backend = ProcessPoolBackend(jobs=2)
-    with pytest.raises(ProactError, match=r"worker process died.*3"):
-        backend.run_tasks(_crash_on_three, list(range(8)))
+    with backend.open_session(_crash_on_three) as session:
+        with pytest.raises(ProactError, match=r"worker process died.*3"):
+            session.map(list(range(8)))
 
 
 def test_dying_worker_in_session_names_batch():
@@ -202,34 +217,44 @@ def _double(task):
     return task * 2
 
 
-def test_custom_backend_overriding_run_tasks_still_works():
-    # Third-party backends predating the warm-worker seam override only
-    # run_tasks; the default open_session must route through it.
+def test_custom_backend_overriding_open_session_works():
+    # open_session is the whole backend seam: a third-party backend that
+    # overrides only it drives a full profiler sweep.
     calls = []
 
-    class Recording(ExecutorBackend):
-        def run_tasks(self, fn, tasks):
-            calls.append(len(tasks))
-            return [fn(task) for task in tasks]
+    class RecordingSession(TaskSession):
+        def __init__(self, fn):
+            self.fn = fn
 
-    backend = Recording()
-    with backend.open_session(_double) as session:
-        assert session.map([1, 2, 3]) == [2, 4, 6]
-    assert calls == [3]
-    assert backend.parallelism == 1
+        def map(self, tasks):
+            calls.append(len(tasks))
+            return [self.fn(task) for task in tasks]
+
+    class Recording(ExecutorBackend):
+        def open_session(self, fn):
+            return RecordingSession(fn)
+
+    builder = small_pagerank().phase_builder()
+    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS,
+                  search="exhaustive")
+    recorded = Profiler(PLATFORM_4X_VOLTA, backend=Recording(),
+                        **kwargs).profile(builder)
+    serial = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
+    assert recorded.entries == serial.entries
+    assert calls == [len(serial.entries)]
+    assert Recording().parallelism == 1
 
 
 def test_process_pool_backend_validation():
     with pytest.raises(ProactError):
         ProcessPoolBackend(jobs=0)
-    # jobs=1 degrades to the serial path (no pool spawned).
+    # jobs=1 runs in-process, on the serial backend's session: even an
+    # unpicklable function works because no pool is spawned.
     backend = ProcessPoolBackend(jobs=1)
-    entry = backend.measure_wave(
-        PLATFORM_4X_VOLTA, [ProactConfig(MECH_POLLING, 1 * MiB, 2048)],
-        small_pagerank().phase_builder())[0]
-    assert entry.runtime > 0
-    assert backend.measure_wave(
-        PLATFORM_4X_VOLTA, [], small_pagerank().phase_builder()) == []
+    with backend.open_session(lambda task: task + 1) as session:
+        assert type(session) is type(SerialBackend().open_session(_double))
+        assert session.map([1, 2]) == [2, 3]
+        assert session.map([]) == []
 
 
 def test_sweep_signature_identifies_search_space():
@@ -239,8 +264,9 @@ def test_sweep_signature_identifies_search_space():
                     thread_counts=SMALL_THREADS)
     assert base.sweep_signature() == same.sweep_signature()
     # The backend is excluded: parallel sweeps share cache hits.
-    parallel = ParallelProfiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                                thread_counts=SMALL_THREADS, jobs=4)
+    parallel = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
+                        thread_counts=SMALL_THREADS,
+                        backend=ProcessPoolBackend(4))
     assert parallel.sweep_signature() == base.sweep_signature()
     # Any grid/search change produces a distinct namespace.
     wider = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=(*SMALL_CHUNKS, 4 * MiB),

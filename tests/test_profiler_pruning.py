@@ -1,73 +1,16 @@
-"""Property tests: lower-bound pruning never changes the profiler's answer.
+"""Lower-bound pruning never changes the profiler's tie-break.
 
-The pruned exhaustive sweep may skip configurations whose
-infinite-bandwidth floor exceeds the incumbent, but its *result* must be
-indistinguishable from brute force: same best config, same best runtime
-(bitwise), and every entry it did measure must agree bitwise with the
-brute-force measurement of the same configuration.  Random platforms and
-workloads come from :mod:`tests.strategies`; grids are kept small so each
-example pair of sweeps stays test-sized.
+``Profiler(search="search")`` skips configurations whose
+infinite-bandwidth floor exceeds the incumbent, but its winner must be
+the one the exhaustive sweep picks under the global tie-break order.
+The randomized argmin property lives in :mod:`tests.test_profiler_search`;
+this file pins one fixed grid.
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
 from repro.core import Profiler
-from repro.errors import ProactError
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
-from tests.conftest import small_jacobi, small_pagerank
-from tests.strategies import platforms
-
-GRIDS = (
-    ((128 * KiB, 1 * MiB), (1024, 4096)),
-    ((64 * KiB, 512 * KiB), (512, 2048)),
-    ((256 * KiB, 4 * MiB), (2048, 8192)),
-)
-
-WORKLOADS = (
-    lambda: small_pagerank(iterations=2),
-    lambda: small_jacobi(iterations=2),
-)
-
-
-def sweep_pair(platform, chunks, threads, builder):
-    """(brute, pruned) exhaustive profiles of the same grid."""
-    brute = Profiler(platform, chunk_sizes=chunks, thread_counts=threads,
-                     search="exhaustive").profile(builder)
-    pruned = Profiler(platform, chunk_sizes=chunks, thread_counts=threads,
-                      search="exhaustive", prune=True).profile(builder)
-    return brute, pruned
-
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(platform=platforms(min_gpus=2, max_gpus=4),
-       grid=st.sampled_from(GRIDS),
-       make_workload=st.sampled_from(WORKLOADS))
-def test_pruned_sweep_picks_identical_optimum(platform, grid,
-                                              make_workload):
-    """Same argmin — config *and* bitwise runtime — as brute force, on
-    random platforms and workloads."""
-    chunks, threads = grid
-    builder = make_workload().phase_builder()
-    brute, pruned = sweep_pair(platform, chunks, threads, builder)
-
-    assert pruned.best.config == brute.best.config
-    assert pruned.best.runtime == brute.best.runtime  # bitwise, not approx
-
-    # Every configuration the pruned sweep did measure agrees bitwise
-    # with brute force: pruning skips measurements, never perturbs them.
-    brute_by_config = {e.config: e.runtime for e in brute.entries}
-    for entry in pruned.entries:
-        assert brute_by_config[entry.config] == entry.runtime
-
-    # Bookkeeping is consistent: measured + skipped covers the full grid,
-    # and only pruned sweeps pay floor simulations.
-    assert len(pruned.entries) + pruned.pruned_configs == len(brute.entries)
-    assert brute.pruned_configs == 0 and brute.floor_runs == 0
-    assert pruned.floor_runs >= pruned.pruned_configs
+from tests.conftest import small_pagerank
 
 
 def test_pruned_sweep_tie_break_preserved():
@@ -76,20 +19,14 @@ def test_pruned_sweep_tie_break_preserved():
     chunks = (128 * KiB, 1 * MiB)
     threads = (1024, 4096)
     builder = small_pagerank(iterations=2).phase_builder()
-    brute, pruned = sweep_pair(PLATFORM_4X_VOLTA, chunks, threads, builder)
+    brute = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=chunks,
+                     thread_counts=threads,
+                     search="exhaustive").profile(builder)
+    pruned = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=chunks,
+                      thread_counts=threads,
+                      search="search").profile(builder)
     ties = [e for e in brute.entries if e.runtime == brute.best.runtime]
     # The brute-force winner among ties must be exactly the pruned winner.
     assert pruned.best.config == brute.best.config
+    assert pruned.best.runtime == brute.best.runtime
     assert all(e.config in {x.config for x in brute.entries} for e in ties)
-
-
-def test_prune_requires_exhaustive_search():
-    with pytest.raises(ProactError, match="exhaustive"):
-        Profiler(PLATFORM_4X_VOLTA, search="coordinate", prune=True)
-
-
-def test_pruned_signature_differs():
-    """Pruned sweeps must not share store entries with unpruned ones."""
-    plain = Profiler(PLATFORM_4X_VOLTA, search="exhaustive")
-    pruned = Profiler(PLATFORM_4X_VOLTA, search="exhaustive", prune=True)
-    assert plain.sweep_signature() != pruned.sweep_signature()

@@ -100,28 +100,6 @@ def test_session_accepts_mechanisms():
 # ----------------------------------------------------------------------
 # Deprecation contract
 # ----------------------------------------------------------------------
-def test_from_name_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system = repro.System.from_name("4x_volta")
-    assert system.num_gpus == 4
-
-
-def test_attach_validation_warns_but_works():
-    system = repro.System(repro.platform_by_name("4x_volta"))
-    with pytest.warns(DeprecationWarning, match="validate=True"):
-        sanitizer = system.attach_validation()
-    assert sanitizer.enabled
-    assert system.validating
-
-
-def test_finish_hooks_warn_but_work():
-    system = repro.System(repro.platform_by_name("4x_volta"))
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system.finish_observation()
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system.finish_validation()
-
-
 def test_proact_config_validate_warns_but_works():
     import dataclasses
 
@@ -138,24 +116,14 @@ def test_paradigm_instrument_warns_but_works():
     assert paradigm.instrument is False
 
 
-def test_context_profile_kwargs_warn_but_work():
-    from repro.experiments.registry import ExperimentContext, ProfilePolicy
-    with pytest.warns(DeprecationWarning, match="ProfilePolicy"):
-        ctx = ExperimentContext(profile_strategy="search", profile_jobs=2)
-    assert ctx.profile == ProfilePolicy(strategy="search", jobs=2)
-    # Mirrored legacy readers keep working.
-    assert ctx.profile_strategy == "search"
-    assert ctx.profile_jobs == 2
-
-
 def test_context_profile_policy_does_not_warn():
     from repro.experiments.registry import ExperimentContext, ProfilePolicy
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         ctx = ExperimentContext(
             profile=ProfilePolicy(strategy="search", jobs=2))
-    assert ctx.profile_strategy == "search"
-    assert ctx.profile_jobs == 2
+    assert ctx.profile.strategy == "search"
+    assert ctx.profile.jobs == 2
 
 
 def test_session_paths_do_not_warn():

@@ -258,8 +258,8 @@ def test_cli_profile_strategy_and_jobs_reach_the_context(monkeypatch):
 def test_context_carries_profile_strategy_defaults():
     ctx = ExperimentContext(quick=True)
     assert ctx.profile == ProfilePolicy()
-    assert ctx.profile_strategy == "coordinate"
-    assert ctx.profile_jobs == 1
+    assert ctx.profile.strategy == "coordinate"
+    assert ctx.profile.jobs == 1
     assert ctx.sweeps is False
 
 
@@ -438,6 +438,7 @@ def _register_fake(monkeypatch, name, experiment_fn):
 
 def test_validate_context_attaches_sanitizer_summary(monkeypatch):
     def experiment(ctx):
+        from repro.api import Session
         from repro.hw import PLATFORM_4X_VOLTA
         from repro.runtime import System
         from repro.units import MiB
@@ -446,7 +447,7 @@ def test_validate_context_attaches_sanitizer_summary(monkeypatch):
         assert system.validating  # the runner's scope reached us
         proc = system.collective("all_reduce", 1 * MiB)
         system.run(until=proc)
-        system.finish_validation()
+        Session(PLATFORM_4X_VOLTA).finish(system)
         table = TextTable("Validated", ["ok"])
         table.add_row(1)
         return ExperimentResult.build("validated", "Validated", [table], {})

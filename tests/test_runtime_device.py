@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ConfigurationError, RuntimeApiError
 from repro.hw import PLATFORM_4X_PASCAL, PLATFORM_4X_VOLTA
 from repro.runtime import System
@@ -13,21 +14,21 @@ from repro.units import MiB
 # ---------------------------------------------------------------------------
 
 def test_system_from_name():
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     assert system.num_gpus == 4
     assert len(system.devices) == 4
     assert system.spec.gpu.arch == "Volta"
 
 
 def test_system_num_gpus_override():
-    system = System.from_name("16x_volta", num_gpus=8)
+    system = Session("16x_volta", num_gpus=8).system()
     assert system.num_gpus == 8
     assert len(system.fabric.links) == 16  # 8 up + 8 down on the switch
 
 
 def test_system_unknown_name_rejected():
     with pytest.raises(ConfigurationError):
-        System.from_name("no_such_system")
+        Session("no_such_system")
 
 
 def test_system_device_lookup_bounds():

@@ -14,8 +14,8 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 
 import pytest
 
-from repro.core import ParallelProfiler, Profiler
-from repro.core.profiler import SweepProgress
+from repro.core import Profiler
+from repro.core.profiler import ProcessPoolBackend, SweepProgress
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -77,10 +77,9 @@ def test_sweep_capture_keeps_candidates_suppressed():
 # ---------------------------------------------------------------------------
 
 def test_serial_sweep_telemetry_decisions_and_identical_results():
-    baseline = _profiler(search="exhaustive", prune=True).profile(_builder())
+    baseline = _profiler(search="search").profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = _profiler(search="exhaustive",
-                           prune=True).profile(_builder())
+        traced = _profiler(search="search").profile(_builder())
 
     assert traced.entries == baseline.entries  # byte-identical results
     decisions = observation.decisions
@@ -105,9 +104,9 @@ def test_serial_sweep_telemetry_decisions_and_identical_results():
 
 
 def test_search_mode_telemetry_covers_the_grid():
-    baseline = _profiler().search(_builder())
+    baseline = _profiler(search="search").profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = _profiler().search(_builder())
+        traced = _profiler(search="search").profile(_builder())
     assert traced.entries == baseline.entries
     decisions = observation.decisions
     assert decisions.count("measure") + decisions.count("prune") == GRID
@@ -120,7 +119,10 @@ def test_coordinate_mode_telemetry_counts_planned_grid():
         traced = _profiler().profile(_builder())
     decisions = observation.decisions
     # Coordinate search measures its reduced plan; nothing is pruned.
-    assert decisions.count("measure") == len(traced.entries)
+    # Plan: inline once, then per decoupled mechanism every chunk at the
+    # top thread count plus the other thread counts at the best chunk.
+    planned = 1 + 2 * (len(SMALL_CHUNKS) + len(SMALL_THREADS) - 1)
+    assert decisions.count("measure") == len(traced.entries) == planned
     assert decisions.count("prune") == 0
 
 
@@ -131,10 +133,8 @@ def test_coordinate_mode_telemetry_counts_planned_grid():
 def test_parallel_sweep_telemetry_worker_lanes_and_identity():
     baseline = _profiler(search="exhaustive").profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = ParallelProfiler(
-            PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-            thread_counts=SMALL_THREADS, search="exhaustive",
-            jobs=2).profile(_builder())
+        traced = _profiler(search="exhaustive",
+                           backend=ProcessPoolBackend(2)).profile(_builder())
 
     assert traced.entries == baseline.entries  # parallel == serial
     decisions = observation.decisions
@@ -161,8 +161,7 @@ def test_parallel_sweep_telemetry_worker_lanes_and_identity():
 
 def test_progress_callback_without_capture():
     snapshots = []
-    profiler = _profiler(search="exhaustive", prune=True,
-                         progress=snapshots.append)
+    profiler = _profiler(search="search", progress=snapshots.append)
     result = profiler.profile(_builder())
 
     assert snapshots, "progress sink never called"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ValidationError
 from repro.hw import PLATFORM_4X_PASCAL, PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
@@ -190,5 +191,5 @@ def test_checker_runs_at_phase_barriers_under_validation():
         system = volta_system()
         assert system.checker is not None
         run_small_collective(system)
-        system.finish_validation()
+        Session(PLATFORM_4X_VOLTA).finish(system)
         assert system.checker.checks_run >= 1

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.core import ProactPhaseExecutor
-from repro.runtime import System
 from repro.units import MiB
 from repro.validate import validation
 from tests.conftest import one_producer_phase
@@ -39,11 +39,12 @@ def test_random_decoupled_phases_satisfy_all_invariants(platform, config):
     """Any (platform, config) pair runs a producer phase with zero
     sanitizer violations and conserved link bytes."""
     with validation() as scope:
-        system = System(platform)
+        session = Session(platform)
+        system = session.system()
         executor = ProactPhaseExecutor(system, config)
         works = one_producer_phase(system, region_bytes=4 * MiB)
         system.run(until=executor.execute(works))
-        system.finish_validation()
+        session.finish(system)
     summary = scope.summary()
     assert summary["violations"] == 0
     assert summary["phases_checked"] == 1
@@ -59,14 +60,15 @@ def test_random_multi_phase_workloads_stay_clean(platform, config, work,
     """Randomized producer work across several phases: chunk ids repeat
     per phase and the audit must pass at every barrier."""
     with validation() as scope:
-        system = System(platform)
+        session = Session(platform)
+        system = session.system()
         executor = ProactPhaseExecutor(system, config)
         for _ in range(num_phases):
             works = [work] + [
                 one_producer_phase(system)[1]
                 for _ in range(system.num_gpus - 1)]
             system.run(until=executor.execute(works))
-        system.finish_validation()
+        session.finish(system)
     summary = scope.summary()
     assert summary["violations"] == 0
     assert summary["phases_checked"] == num_phases

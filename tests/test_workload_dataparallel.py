@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.errors import WorkloadError
 from repro.runtime.system import System
 from repro.units import KiB, MiB
@@ -27,7 +28,7 @@ def test_constructor_validation():
 
 def test_build_phases_shape_and_regions():
     workload = DataParallelTraining(model_bytes=8 * MiB, steps=3)
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     phases = workload.build_phases(system)
     assert len(phases) == 3
     for phase in phases:
@@ -43,7 +44,7 @@ def test_build_phases_shape_and_regions():
 
 def test_run_training_splits_compute_and_comm():
     workload = DataParallelTraining(model_bytes=4 * MiB, steps=2)
-    system = System.from_name("4x_volta")
+    system = Session("4x_volta").system()
     result = run_training(system, workload, algorithm="ring",
                           chunk_size=256 * KiB)
     assert len(result.steps) == 2
@@ -60,9 +61,9 @@ def test_run_training_splits_compute_and_comm():
 def test_run_training_algorithms_rank_as_expected():
     # On the PCIe tree the ring all-reduce must beat the direct exchange.
     workload = DataParallelTraining(model_bytes=8 * MiB, steps=1)
-    ring = run_training(System.from_name("4x_kepler"), workload,
+    ring = run_training(Session("4x_kepler").system(), workload,
                         algorithm="ring", chunk_size=256 * KiB)
-    direct = run_training(System.from_name("4x_kepler"), workload,
+    direct = run_training(Session("4x_kepler").system(), workload,
                           algorithm="direct", chunk_size=256 * KiB)
     assert ring.comm_time < direct.comm_time
     assert ring.compute_time == pytest.approx(direct.compute_time)
