@@ -10,7 +10,8 @@ exchange on the PCIe tree; tree over ring at small payloads at scale).
 import json
 import time
 
-from repro.collectives import run_collective, supported_algorithms
+from repro.api import Session
+from repro.collectives import supported_algorithms
 from repro.hw.platform import PLATFORMS
 from repro.units import KiB, MiB
 
@@ -25,8 +26,9 @@ def _sweep():
         platform = PLATFORMS[name]
         for algorithm in supported_algorithms("all_reduce",
                                               platform.num_gpus):
-            result = run_collective(platform, "all_reduce", algorithm,
-                                    BENCH_PAYLOAD, BENCH_CHUNK)
+            result = Session(platform).collective(
+                "all_reduce", BENCH_PAYLOAD, algorithm=algorithm,
+                chunk_size=BENCH_CHUNK)
             busbw[f"{name}/{algorithm}"] = round(
                 result.bus_bandwidth / 1e9, 3)
     return busbw
@@ -38,15 +40,16 @@ def test_collectives_smoke(benchmark, results_dir):
     sweep_s = time.perf_counter() - started
 
     kepler = PLATFORMS["4x_kepler"]
-    ring = run_collective(kepler, "all_reduce", "ring", BENCH_PAYLOAD,
-                          BENCH_CHUNK)
-    bulk = run_collective(kepler, "all_reduce", "direct", BENCH_PAYLOAD,
-                          chunk_size=BENCH_PAYLOAD)
+    ring = Session(kepler).collective(
+        "all_reduce", BENCH_PAYLOAD, algorithm="ring", chunk_size=BENCH_CHUNK)
+    bulk = Session(kepler).collective(
+        "all_reduce", BENCH_PAYLOAD, algorithm="direct",
+        chunk_size=BENCH_PAYLOAD)
     volta16 = PLATFORMS["16x_volta"]
-    ring_small = run_collective(volta16, "all_reduce", "ring", 64 * KiB,
-                                16 * KiB)
-    tree_small = run_collective(volta16, "all_reduce", "tree", 64 * KiB,
-                                16 * KiB)
+    ring_small = Session(volta16).collective(
+        "all_reduce", 64 * KiB, algorithm="ring", chunk_size=16 * KiB)
+    tree_small = Session(volta16).collective(
+        "all_reduce", 64 * KiB, algorithm="tree", chunk_size=16 * KiB)
 
     assert ring.duration < bulk.duration
     assert tree_small.duration < ring_small.duration

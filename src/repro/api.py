@@ -1,11 +1,11 @@
 """One-stop session facade over the simulator.
 
 Four PRs of growth left the library with powerful but scattered entry
-points: ``System(spec, infinite_bw=..., ...)`` construction, paradigm
-classes, the profiler, the collective executor, and three separate
-ambient scopes (observation, validation, suppression).  :class:`Session`
-bundles a platform plus an observability/validation policy into one
-object with one method per thing you actually do::
+points: ``System`` construction, paradigm classes, the profiler, the
+collective executor, and three separate ambient scopes (observation,
+validation, suppression).  :class:`Session` bundles a platform plus an
+observability/validation policy into one object with one method per
+thing you actually do::
 
     from repro.api import Session
     from repro.workloads import PageRankWorkload
@@ -35,7 +35,6 @@ from contextlib import ExitStack, contextmanager
 
 from repro.errors import ConfigurationError
 from repro.hw.platform import PlatformSpec, platform_by_name
-from repro.interconnect.link import DEFAULT_QUANTUM
 from repro.obs.capture import Observation, observing
 from repro.obs.metrics import MetricsRegistry
 from repro.validate.scope import Validation, validating
@@ -47,24 +46,15 @@ __all__ = ["Session"]
 
 #: Paradigm registry: public name -> factory.  Resolved lazily so that
 #: importing :mod:`repro.api` stays cheap and cycle-free.
-_PARADIGM_NAMES = (
-    "bulk", "memcpy", "um", "unified_memory", "p2p", "inline",
-    "decoupled", "proact", "auto", "hardware", "infinite",
-)
-
-
 def _paradigm_factories() -> Dict[str, Callable[..., Any]]:
     from repro import paradigms as p
     return {
         "bulk": p.BulkMemcpyParadigm,
-        "memcpy": p.BulkMemcpyParadigm,
         "um": p.UnifiedMemoryParadigm,
-        "unified_memory": p.UnifiedMemoryParadigm,
         "p2p": p.P2pLoadParadigm,
         "inline": p.ProactInlineParadigm,
         "decoupled": p.ProactDecoupledParadigm,
         "proact": p.ProactAutoParadigm,
-        "auto": p.ProactAutoParadigm,
         "hardware": p.ProactHardwareParadigm,
         "infinite": p.InfiniteBandwidthParadigm,
     }
@@ -81,21 +71,13 @@ class Session:
         validate: Run every simulation under the readiness sanitizer and
             conservation checker; violations raise
             :class:`~repro.errors.ValidationError`.
-        trace: Record structural traces for every run (exported with
-            :meth:`chrome_trace`).
-        metrics: Collect the metrics registry even when tracing is off.
+        trace: Record structural traces and metrics for every run
+            (exported with :meth:`chrome_trace` and :attr:`metrics`).
         sweeps: Also capture profiler sweep telemetry — per-worker
             activity lanes, the search/prune :class:`DecisionLog`
             (:attr:`decisions`), and sweep latency histograms.  Implies
             observation; candidate simulations inside sweeps stay
             unobserved either way, so results are unchanged.
-        verbose_trace: Also record per-event engine lanes (huge; debug
-            only).
-        infinite_bw: Build systems with the infinite-bandwidth fabric
-            (the paper's limit study).
-        quantum: Link service quantum in bytes.
-        dma_engines: DMA engines per GPU for systems built via
-            :meth:`system` / :meth:`collective`.
         mechanisms: Mechanism-ablation policy
             (:class:`~repro.core.config.Mechanisms`).  Every system,
             paradigm, and profiler built through this session honors
@@ -110,12 +92,7 @@ class Session:
                  num_gpus: Optional[int] = None,
                  validate: bool = False,
                  trace: bool = False,
-                 metrics: bool = False,
                  sweeps: bool = False,
-                 verbose_trace: bool = False,
-                 infinite_bw: bool = False,
-                 quantum: int = DEFAULT_QUANTUM,
-                 dma_engines: int = 1,
                  mechanisms: Optional["Mechanisms"] = None) -> None:
         if platform is None:
             platform = self.DEFAULT_PLATFORM
@@ -127,18 +104,13 @@ class Session:
         if num_gpus is not None:
             platform = platform.with_num_gpus(num_gpus)
         self.platform = platform
-        self.infinite_bw = infinite_bw
-        self.quantum = quantum
-        self.dma_engines = dma_engines
         self.mechanisms = mechanisms
         # One long-lived observation/validation per session: every entry
         # point below re-installs them as the ambient scopes, so results
         # accumulate across calls.
         self._observation: Optional[Observation] = None
-        if trace or metrics or verbose_trace or sweeps:
-            self._observation = Observation(
-                trace=trace or verbose_trace or sweeps,
-                verbose=verbose_trace, sweeps=sweeps)
+        if trace or sweeps:
+            self._observation = Observation(sweeps=sweeps)
         self._validation: Optional[Validation] = None
         if validate:
             self._validation = Validation()
@@ -183,19 +155,18 @@ class Session:
         audit.  Idempotent.  ``run``/``profile``/``collective`` do this
         themselves — only manually driven systems need it.
         """
-        system._finish_observation()
-        system._finish_validation()
+        system._finish()
 
     def run(self, workload, paradigm: Union[str, Any] = "proact",
             **paradigm_kwargs):
         """Execute ``workload`` under a paradigm; returns its result.
 
-        ``paradigm`` is a registry name (one of ``bulk``/``memcpy``,
-        ``um``/``unified_memory``, ``p2p``, ``inline``, ``decoupled``,
-        ``proact``/``auto``, ``hardware``, ``infinite``) or an already
-        constructed :class:`~repro.paradigms.Paradigm`.  Keyword
-        arguments go to the paradigm constructor (e.g.
-        ``config=ProactConfig(...)`` for ``decoupled``).  Returns a
+        ``paradigm`` is a registry name (one of ``bulk``, ``um``,
+        ``p2p``, ``inline``, ``decoupled``, ``proact``, ``hardware``,
+        ``infinite``) or an already constructed
+        :class:`~repro.paradigms.Paradigm`.  Keyword arguments go to the
+        paradigm constructor (e.g. ``config=ProactConfig(...)`` for
+        ``decoupled``, ``dma_engines=2`` for ``bulk``).  Returns a
         :class:`~repro.paradigms.ParadigmResult`.
         """
         instance = self._resolve_paradigm(paradigm, paradigm_kwargs)
@@ -223,15 +194,12 @@ class Session:
         for a stderr status line per wave, or any callable sink.
         Returns a :class:`~repro.core.profiler.ProfileResult`.
         """
-        from repro.core.config import (PROFILE_CHUNK_SIZES,
-                                       PROFILE_THREAD_COUNTS)
-        from repro.core.config import ALL_MECHANISMS
         from repro.core.profiler import ProcessPoolBackend, Profiler
+        grid = {axis: values for axis, values in (
+            ("chunk_sizes", chunk_sizes), ("thread_counts", thread_counts),
+            ("mechanisms", mechanisms)) if values is not None}
         profiler = Profiler(
-            self.platform,
-            chunk_sizes=chunk_sizes or PROFILE_CHUNK_SIZES,
-            thread_counts=thread_counts or PROFILE_THREAD_COUNTS,
-            mechanisms=mechanisms or ALL_MECHANISMS, search=strategy,
+            self.platform, **grid, search=strategy,
             backend=ProcessPoolBackend(jobs) if jobs is not None else None,
             progress=progress, toggles=self.mechanisms)
         builder = (workload.phase_builder()
@@ -261,7 +229,8 @@ class Session:
         from repro.core.profiler import ProcessPoolBackend
         tuner = CollectiveTuner(
             self.platform, collective, algorithms=algorithms,
-            chunk_sizes=chunk_sizes or PROFILE_CHUNK_SIZES,
+            chunk_sizes=(PROFILE_CHUNK_SIZES if chunk_sizes is None
+                         else chunk_sizes),
             backend=ProcessPoolBackend(jobs) if jobs is not None else None)
         with self.scope():
             if store is not None:
@@ -288,8 +257,7 @@ class Session:
                                      chunk_size=chunk_size, root=root,
                                      access_size=access_size)
             result = system.run(until=proc)
-            system._finish_observation()
-            system._finish_validation()
+            system._finish()
             return result
 
     # ------------------------------------------------------------------
@@ -306,7 +274,7 @@ class Session:
         """Everything traced so far as one Chrome-trace document."""
         if self._observation is None:
             raise ConfigurationError(
-                "session was created without trace/metrics; "
+                "session was created without trace; "
                 "pass trace=True to Session()")
         return self._observation.chrome_trace()
 
@@ -334,7 +302,7 @@ class Session:
         """
         if self._observation is None:
             raise ConfigurationError(
-                "session was created without trace/metrics; "
+                "session was created without trace; "
                 "pass trace=True (or sweeps=True) to Session()")
         from repro.obs.report import observation_report, write_report
         write_report(path, observation_report(self._observation,
@@ -352,9 +320,7 @@ class Session:
     # ------------------------------------------------------------------
     def _build_system(self):
         from repro.runtime.system import System
-        return System(self.platform, infinite_bw=self.infinite_bw,
-                      quantum=self.quantum, dma_engines=self.dma_engines,
-                      mechanisms=self.mechanisms)
+        return System(self.platform, mechanisms=self.mechanisms)
 
     def _resolve_paradigm(self, paradigm: Union[str, Any],
                           kwargs: Dict[str, Any]):
@@ -374,7 +340,7 @@ class Session:
         except KeyError:
             raise ConfigurationError(
                 f"unknown paradigm {paradigm!r}; "
-                f"expected one of {', '.join(sorted(set(_PARADIGM_NAMES)))}"
+                f"expected one of {', '.join(sorted(factories))}"
             ) from None
         return factory(**kwargs)
 
@@ -383,12 +349,9 @@ class Session:
         if self._validation is not None:
             flags.append("validate")
         if self._observation is not None:
-            flags.append("trace" if self._observation.trace_enabled
-                         else "metrics")
+            flags.append("trace")
             if self._observation.sweeps:
                 flags.append("sweeps")
-        if self.infinite_bw:
-            flags.append("infinite_bw")
         if self.mechanisms is not None and not self.mechanisms.all_enabled:
             flags.append(self.mechanisms.describe())
         suffix = f" [{', '.join(flags)}]" if flags else ""

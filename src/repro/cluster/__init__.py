@@ -8,9 +8,9 @@ single-box platform::
     from repro.api import Session
     from repro.cluster import cluster_platform
 
-    with Session(platform=cluster_platform(num_nodes=4)) as session:
-        result = session.collective("all_reduce", nbytes=1 << 24,
-                                    algorithm="hierarchical")
+    session = Session(cluster_platform(num_nodes=4))
+    result = session.collective("all_reduce", nbytes=1 << 24,
+                                algorithm="hierarchical")
 """
 
 from repro.cluster.fabric import ClusterFabric

@@ -27,7 +27,7 @@ import typing
 
 from repro.errors import ConfigurationError
 from repro.interconnect.fabric import Fabric
-from repro.interconnect.link import DEFAULT_QUANTUM, Link
+from repro.interconnect.link import Link
 from repro.interconnect.route import Route, route_between
 from repro.cluster.specs import ClusterPlatformSpec
 from repro.cluster.topology import build_inter_topology
@@ -40,15 +40,14 @@ class ClusterFabric(Fabric):
     """All links and routes of a multi-node cluster."""
 
     def __init__(self, engine: "Engine", cluster: ClusterPlatformSpec,
-                 infinite: bool = False,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
+                 infinite: bool = False) -> None:
         if not isinstance(cluster, ClusterPlatformSpec):
             raise ConfigurationError(
                 f"ClusterFabric needs a ClusterPlatformSpec, "
                 f"got {type(cluster).__name__}")
         self.cluster = cluster
         super().__init__(engine, cluster.interconnect, cluster.num_gpus,
-                         infinite=infinite, quantum=quantum)
+                         infinite=infinite)
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,8 +57,7 @@ class ClusterFabric(Fabric):
         per_node = cluster.node.gpus_per_node
         self.node_fabrics = [
             Fabric(self.engine, cluster.node.interconnect, per_node,
-                   infinite=self.infinite, quantum=self.quantum,
-                   gpu_base=node * per_node)
+                   infinite=self.infinite, gpu_base=node * per_node)
             for node in range(cluster.num_nodes)
         ]
         for fabric in self.node_fabrics:
@@ -76,8 +74,7 @@ class ClusterFabric(Fabric):
 
     def _nic_link(self, name: str, bandwidth: float) -> Link:
         """NIC-framed link (injection, delivery, and inter-node hops)."""
-        link = Link(self.engine, name, bandwidth, self.cluster.node.nic.fmt,
-                    self.quantum)
+        link = Link(self.engine, name, bandwidth, self.cluster.node.nic.fmt)
         self.links.append(link)
         return link
 

@@ -11,7 +11,7 @@ charged with the same link/route primitives as NVLink hops.
 
 :class:`ClusterPlatformSpec` extends
 :class:`~repro.hw.platform.PlatformSpec`, so everything that consumes a
-platform — ``System``, ``Session``, ``run_collective``, the tuner —
+platform — ``System``, ``Session``, the collective tuner —
 accepts a cluster without new entry points; consumers that must branch
 check the ``is_cluster`` attribute rather than importing this module.
 """

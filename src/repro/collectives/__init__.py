@@ -31,7 +31,6 @@ from repro.collectives.algorithms import (
 from repro.collectives.executor import (
     CollectiveExecutor,
     CollectiveResult,
-    run_collective,
 )
 from repro.collectives.schedule import (
     ALL_COLLECTIVES,
@@ -80,7 +79,6 @@ __all__ = [
     "measure_candidate",
     "payload_bucket",
     "replay_payloads",
-    "run_collective",
     "schedules_for",
     "supported_algorithms",
     "verify_schedule",

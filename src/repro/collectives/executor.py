@@ -8,10 +8,6 @@ not from an analytic formula.  Each op emits a span into the owning
 GPU's ``coll`` trace lane, which is what makes ring pipelining visible
 in the Chrome-trace export: the chunk stream staircases across the
 GPUs' lanes.
-
-The module-level :func:`run_collective` builds a throwaway system, runs
-one schedule to completion, and returns the :class:`CollectiveResult` —
-the picklable unit of work the tuner fans out over executor backends.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import typing
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.collectives.algorithms import build_schedule
 from repro.collectives.schedule import (
     COLL_ALL_GATHER,
     COLL_ALL_REDUCE,
@@ -32,7 +27,6 @@ from repro.errors import CollectiveError
 from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.hw.platform import PlatformSpec
     from repro.runtime.system import System
 
 
@@ -163,29 +157,6 @@ class CollectiveExecutor:
                 collective=schedule.collective,
                 algorithm=schedule.algorithm)
         return result
-
-
-def run_collective(platform: "PlatformSpec", collective: str, algorithm: str,
-                   nbytes: int, chunk_size: int, root: int = 0,
-                   num_gpus: Optional[int] = None) -> CollectiveResult:
-    """Build a system, run one collective to completion, return timing.
-
-    A module-level pure function of picklable arguments, so tuner
-    backends can ship it to worker processes.  Cluster platforms carry
-    their node geometry along, which is what admits the hierarchical
-    algorithm.
-    """
-    from repro.runtime.system import System
-    system = System(platform, num_gpus=num_gpus)
-    schedule = build_schedule(collective, algorithm, system.num_gpus,
-                              nbytes, chunk_size, root=root,
-                              gpus_per_node=getattr(platform,
-                                                    "gpus_per_node", None))
-    proc = CollectiveExecutor(system).launch(schedule)
-    system.run(until=proc)
-    system._finish_observation()
-    system._finish_validation()
-    return proc.value
 
 
 def bus_bandwidth_table(results: Dict[str, CollectiveResult]) -> Dict[str, float]:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
-from repro.collectives.executor import run_collective
 from repro.collectives.schedule import ALL_COLLECTIVES, COLL_ALL_REDUCE
 from repro.core.config import PROFILE_CHUNK_SIZES
 from repro.core.profiler import ExecutorBackend, SerialBackend
@@ -126,8 +126,8 @@ _TuneTask = Tuple[PlatformSpec, str, int, str, int]
 def measure_candidate(task: _TuneTask) -> CollectiveMeasurement:
     """Measure one (algorithm, chunk size) candidate (picklable)."""
     platform, collective, nbytes, algorithm, chunk_size = task
-    result = run_collective(platform, collective, algorithm, nbytes,
-                            chunk_size)
+    result = Session(platform).collective(
+        collective, nbytes, algorithm=algorithm, chunk_size=chunk_size)
     return CollectiveMeasurement(algorithm=algorithm, chunk_size=chunk_size,
                                  runtime=result.duration)
 

@@ -88,7 +88,7 @@ class DecoupledAgent:
                           * spec.copy_thread_bandwidth)
         self._throttle = Link(
             engine, f"gpu{src_id}.agent-throttle", copy_bandwidth,
-            THROTTLE_FORMAT, quantum=system.fabric.quantum)
+            THROTTLE_FORMAT)
         self._routes: Dict[int, Route] = {}
         for dst in self.destinations:
             if system.fabric.infinite:

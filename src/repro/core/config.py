@@ -7,7 +7,6 @@ Table II's notation, e.g. ``"D 128kB 2048 Poll"``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
@@ -153,23 +152,8 @@ class ProactConfig:
     chunk_size: int
     transfer_threads: int
     poll_period: float = DEFAULT_POLL_PERIOD
-    #: Run the phase executor under the readiness sanitizer and the
-    #: conservation checker (:mod:`repro.validate`) even outside an
-    #: ambient validation scope.
-    #:
-    #: .. deprecated:: 1.1
-    #:     Validation is a run policy, not a transfer configuration —
-    #:     use ``repro.api.Session(validate=True)`` instead.  Still
-    #:     honored (the executor attaches the sanitizers), but warns.
-    validate: bool = False
 
     def __post_init__(self) -> None:
-        if self.validate:
-            warnings.warn(
-                "ProactConfig(validate=True) is deprecated; validation "
-                "is a run policy — use repro.api.Session(..., "
-                "validate=True) instead",
-                DeprecationWarning, stacklevel=2)
         if self.mechanism not in ALL_MECHANISMS_WITH_HW:
             raise ConfigurationError(
                 f"unknown mechanism {self.mechanism!r}; "

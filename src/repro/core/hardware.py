@@ -55,8 +55,7 @@ class HardwareAgent(DecoupledAgent):
             mechanism=config.mechanism,
             chunk_size=config.chunk_size,
             transfer_threads=_engine_equivalent_threads(system, src_id),
-            poll_period=config.poll_period,
-            validate=config.validate)
+            poll_period=config.poll_period)
         super().__init__(system, src_id, engine_config, destinations,
                          elide_transfers, peer_fraction,
                          **({} if access_size is None

@@ -61,8 +61,8 @@ round-trips.  Results come back in task order, so both backends produce
 byte-identical :class:`ProfileEntry` lists.
 
 A worker process that dies mid-sweep (OOM kill, segfault, ``os._exit``)
-surfaces as a :class:`~repro.errors.ProactError` naming the in-flight
-tasks instead of poisoning the pool silently.
+surfaces as a :class:`~repro.errors.ProactError` naming every unfinished
+task instead of poisoning the pool silently.
 
 Ties on runtime are broken toward the smallest ``(chunk_size,
 transfer_threads)`` (then mechanism name), so the chosen configuration is
@@ -197,8 +197,6 @@ class ProfileResult:
 
 def run_phases(platform: PlatformSpec, config: ProactConfig,
                phase_builder: PhaseBuilder,
-               elide_transfers: bool = False,
-               instrument: bool = True,
                infinite_bw: bool = False,
                toggles: Optional[Mechanisms] = None) -> float:
     """Simulate an application under one configuration; returns runtime.
@@ -208,9 +206,7 @@ def run_phases(platform: PlatformSpec, config: ProactConfig,
     enabled.
     """
     system = System(platform, infinite_bw=infinite_bw, mechanisms=toggles)
-    executor = ProactPhaseExecutor(system, config,
-                                   elide_transfers=elide_transfers,
-                                   instrument=instrument)
+    executor = ProactPhaseExecutor(system, config)
     phases = phase_builder(system)
 
     def driver():
@@ -219,8 +215,7 @@ def run_phases(platform: PlatformSpec, config: ProactConfig,
 
     done = system.engine.process(driver(), name="app")
     system.run(until=done)
-    system._finish_observation()
-    system._finish_validation()
+    system._finish()
     return system.now
 
 
@@ -299,13 +294,6 @@ def _warm_worker_batch(batch: Sequence[Any]) -> List[Any]:
     return [_WORKER_FN(task) for task in batch]
 
 
-def _describe_tasks(tasks: Sequence[Any], limit: int = 4) -> str:
-    shown = ", ".join(repr(task) for task in tasks[:limit])
-    if len(tasks) > limit:
-        shown += f", ... ({len(tasks) - limit} more)"
-    return shown
-
-
 class TaskSession:
     """One sweep's scope on a backend.
 
@@ -371,14 +359,22 @@ class _WarmPoolSession(TaskSession):
         futures = [self._pool.submit(_warm_worker_batch, batch)
                    for batch in batches]
         results: List[Any] = []
-        for index, (future, batch) in enumerate(zip(futures, batches)):
+        for future in futures:
             try:
                 results.extend(future.result())
             except BrokenProcessPool as exc:
+                # A dead worker breaks every pending future, so any
+                # unfinished batch may hold the task that killed it.
+                concurrent.futures.wait(futures)
+                broken = [index for index, other in enumerate(futures)
+                          if other.exception() is not None]
+                numbers = ", ".join(f"{index + 1}/{len(batches)}"
+                                    for index in broken)
+                named = ", ".join(repr(task) for index in broken
+                                  for task in batches[index])
                 raise ProactError(
-                    "worker process died during the sweep; first "
-                    f"unfinished batch ({index + 1}/{len(batches)}) "
-                    f"contained: {_describe_tasks(batch)}") from exc
+                    "worker process died during the sweep; unfinished "
+                    f"batches ({numbers}) contained: {named}") from exc
         return results
 
     def close(self) -> None:
@@ -434,8 +430,8 @@ class ProcessPoolBackend(ExecutorBackend):
     pre-installed in every worker, after which only small task tuples
     cross the queue (see the module docstring).  ``jobs=1`` runs
     in-process, exactly like :class:`SerialBackend`.  A worker that dies
-    mid-sweep raises :class:`~repro.errors.ProactError` naming the
-    in-flight batch.
+    mid-sweep raises :class:`~repro.errors.ProactError` naming every
+    unfinished batch.
     """
 
     def __init__(self, jobs: int) -> None:

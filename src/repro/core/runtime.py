@@ -135,12 +135,10 @@ class ProactPhaseExecutor:
     """Executes phases on a system under one PROACT configuration."""
 
     def __init__(self, system: "System", config: ProactConfig,
-                 elide_transfers: bool = False,
-                 instrument: bool = True) -> None:
+                 elide_transfers: bool = False) -> None:
         self.system = system
         self.config = config
         self.elide_transfers = elide_transfers
-        self.instrument = instrument
         #: The system's mechanism-toggle policy; the single choke point
         #: for the decoupled-agent ablation.
         self.mechanisms = getattr(system, "mechanisms", DEFAULT_MECHANISMS)
@@ -150,8 +148,6 @@ class ProactPhaseExecutor:
                 "transfer agent, but the decoupled_agent mechanism is "
                 "ablated — use an inline configuration")
         self._phase_index = 0
-        if config.validate and not system.engine.sanitizer.enabled:
-            system._attach_validation()
 
     def execute(self, works: Sequence[GpuPhaseWork]):
         """Run one phase; returns the completion process (PhaseResult)."""
@@ -322,8 +318,7 @@ class ProactPhaseExecutor:
         if polling:
             agent.start()
         kernel_work = work.kernel.uncontended_time(gpu)
-        if (tracking and self.instrument
-                and self.config.mechanism != MECH_HARDWARE):
+        if tracking and self.config.mechanism != MECH_HARDWARE:
             # Hardware PROACT tracks readiness in dedicated structures
             # updated by the memory system — no instrumentation cost.
             kernel_work += tracking_overhead(gpu.spec, work.kernel.num_ctas)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from repro.api import Session
 from repro.cluster import FAT_TREE, TORUS_2D, TORUS_3D, cluster_platform
 from repro.collectives.algorithms import ALGO_HIERARCHICAL, ALGO_RING
-from repro.collectives.executor import run_collective
 from repro.collectives.schedule import COLL_ALL_REDUCE
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
@@ -59,8 +59,9 @@ def _payload_label(size: int) -> str:
 
 def _measure(platform, payload: int, algorithm: str) -> float:
     """Bus bandwidth (bytes/s) of one algorithm at one payload."""
-    result = run_collective(platform, COLL_ALL_REDUCE, algorithm, payload,
-                            chunk_size=min(CHUNK_SIZE, payload))
+    result = Session(platform).collective(
+        COLL_ALL_REDUCE, payload, algorithm=algorithm,
+        chunk_size=min(CHUNK_SIZE, payload))
     return result.bus_bandwidth
 
 

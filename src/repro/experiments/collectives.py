@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
-from repro.collectives.executor import run_collective
 from repro.collectives.schedule import COLL_ALL_REDUCE
 from repro.collectives.tuner import CollectiveTuner
 from repro.experiments.registry import ExperimentContext, ExperimentResult
@@ -164,8 +164,9 @@ def _parse_label(label: str) -> int:
 
 def direct_bulk_runtime(platform: PlatformSpec, nbytes: int) -> float:
     """The unchunked direct exchange: one bulk message per peer pair."""
-    return run_collective(platform, COLL_ALL_REDUCE, "direct", nbytes,
-                          chunk_size=nbytes).duration
+    return Session(platform).collective(
+        COLL_ALL_REDUCE, nbytes, algorithm="direct",
+        chunk_size=nbytes).duration
 
 
 def experiment(ctx: ExperimentContext) -> ExperimentResult:
@@ -176,8 +177,8 @@ def experiment(ctx: ExperimentContext) -> ExperimentResult:
 
     large = max(payloads)
     small = min(payloads)
-    kepler_ring = run_collective(
-        PLATFORMS["4x_kepler"], COLL_ALL_REDUCE, "ring", large,
+    kepler_ring = Session(PLATFORMS["4x_kepler"]).collective(
+        COLL_ALL_REDUCE, large, algorithm="ring",
         chunk_size=min(chunks)).duration
     kepler_bulk = direct_bulk_runtime(PLATFORMS["4x_kepler"], large)
 

@@ -178,7 +178,7 @@ def _run_with_fabric(paradigm: Paradigm, workload: Workload,
 
     The run records into its own :class:`~repro.sim.trace.Tracer`; link
     occupancy is flushed as merged busy spans by
-    :meth:`~repro.runtime.system.System._finish_observation` and the
+    :meth:`~repro.runtime.system.System._finish` and the
     utilization profile is bucketed from those trace lanes — the same
     data a ``--trace`` export would show.
     """
@@ -190,7 +190,7 @@ def _run_with_fabric(paradigm: Paradigm, workload: Workload,
     driver = system.engine.process(
         paradigm._drive(system, workload, phases, result))
     system.run(until=driver)
-    system._finish_observation()
+    system._finish()
     lanes = trace_link_intervals(system.tracer)
     mean_util = (sum(stats.utilization(system.now)
                      for stats in lanes.values()) / len(lanes)

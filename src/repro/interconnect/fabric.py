@@ -22,7 +22,7 @@ import typing
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.interconnect.link import DEFAULT_QUANTUM, Link
+from repro.interconnect.link import Link
 from repro.interconnect.route import Route, TransferReceipt, route_between
 from repro.interconnect.specs import (
     TOPOLOGY_ALL_TO_ALL,
@@ -41,8 +41,8 @@ class Fabric:
     """All interconnect links and routes of one system."""
 
     def __init__(self, engine: "Engine", spec: InterconnectSpec, num_gpus: int,
-                 infinite: bool = False, quantum: int = DEFAULT_QUANTUM,
-                 gpu_base: int = 0, fmt=None) -> None:
+                 infinite: bool = False, gpu_base: int = 0,
+                 fmt=None) -> None:
         if num_gpus < 1:
             raise ConfigurationError(f"need at least 1 GPU: {num_gpus}")
         if gpu_base < 0:
@@ -59,7 +59,6 @@ class Fabric:
         #: names and route keys speak global GPU ids directly.
         self.gpu_base = gpu_base
         self.infinite = infinite
-        self.quantum = quantum
         self.links: List[Link] = []
         #: GPU-side links into/out of the shared switch, by local index —
         #: populated by the switch-routed topologies (pcie_tree, switch)
@@ -75,7 +74,7 @@ class Fabric:
     # Construction
     # ------------------------------------------------------------------
     def _new_link(self, name: str, bandwidth: float) -> Link:
-        link = Link(self.engine, name, bandwidth, self.fmt, self.quantum)
+        link = Link(self.engine, name, bandwidth, self.fmt)
         self.links.append(link)
         return link
 

@@ -62,15 +62,6 @@ class Link:
         self.goodput_bytes += goodput
         self.wire_bytes += wire
         self.busy.add(start, end)
-        tracer = self.engine.tracer
-        if tracer.enabled and tracer.verbose:
-            # Per-quantum service spans are verbose-only: the merged
-            # occupancy lane is flushed by System._finish_observation().
-            channel = (f"gpu{self.owner_gpu}.link:{self.name}"
-                       if self.owner_gpu is not None
-                       else f"link:{self.name}")
-            tracer.span(start, end, channel, "service",
-                        payload={"wire_bytes": wire})
 
     def utilization(self, over_seconds: float) -> float:
         """Fraction of ``over_seconds`` the link was busy."""

@@ -51,28 +51,21 @@ class Observation:
     spans, decision instants) so the exported document starts near 0.
     """
 
-    def __init__(self, trace: bool = True, verbose: bool = False,
-                 sweeps: bool = False) -> None:
-        self.trace_enabled = trace
-        self.verbose = verbose
+    def __init__(self, sweeps: bool = False) -> None:
         self.sweeps = sweeps
         self.epoch = time.time()
         self.metrics = MetricsRegistry()
-        self.traces: List[Tuple[str, Tracer]] = []
         # Off-clock lanes (e.g. the profiler's per-candidate sweep
         # timings) that belong to the capture, not to any one system.
-        self.ambient_tracer = Tracer(enabled=trace, verbose=verbose)
-        if trace:
-            self.traces.append(("capture", self.ambient_tracer))
+        self.ambient_tracer = Tracer()
+        self.traces: List[Tuple[str, Tracer]] = [
+            ("capture", self.ambient_tracer)]
         self.decisions = DecisionLog(tracer=self.ambient_tracer,
                                      epoch=self.epoch)
 
     def new_tracer(self, label: str) -> Tracer:
         """A fresh tracer registered under ``label`` (one per system)."""
-        if not self.trace_enabled:
-            from repro.sim.trace import NULL_TRACER
-            return NULL_TRACER
-        tracer = Tracer(enabled=True, verbose=self.verbose)
+        tracer = Tracer()
         self.adopt_tracer(label, tracer)
         return tracer
 
@@ -103,9 +96,7 @@ def active() -> Optional[Observation]:
 
 
 @contextmanager
-def capture(trace: bool = True,
-            verbose: bool = False,
-            sweeps: bool = False) -> Iterator[Observation]:
+def capture(sweeps: bool = False) -> Iterator[Observation]:
     """Observe every system built inside the scope.
 
     ::
@@ -121,8 +112,7 @@ def capture(trace: bool = True,
             Profiler(platform, search="exhaustive").profile(builder)
         assert obs.decisions.count("measure")
     """
-    with observing(Observation(trace=trace, verbose=verbose,
-                               sweeps=sweeps)) as observation:
+    with observing(Observation(sweeps=sweeps)) as observation:
         yield observation
 
 

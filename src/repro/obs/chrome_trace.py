@@ -11,7 +11,7 @@ Mapping from :class:`~repro.sim.trace.Tracer` channels:
   within the run's pid block — one Chrome *process* per simulated GPU,
   with ``kernel`` / ``agent`` / ``transfer`` / ``link:*`` lanes as its
   threads;
-* every other channel (``phase``, ``profiler``, ``engine``) becomes a
+* every other channel (``phase``, ``profiler``, ``collective``) becomes a
   thread of the run's process 0 ("simulation" lanes);
 * span records export as complete events (``ph: "X"`` with ``dur``),
   instants as instant events (``ph: "i"``).

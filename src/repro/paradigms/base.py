@@ -65,8 +65,7 @@ class Paradigm:
             self._drive(system, workload, phases, result),
             name=f"{self.name}:{workload.name}")
         system.run(until=driver)
-        system._finish_observation()
-        system._finish_validation()
+        system._finish()
         result.runtime = system.now
         result.bytes_moved = system.fabric.total_goodput_bytes()
         result.wire_bytes = system.fabric.total_wire_bytes()

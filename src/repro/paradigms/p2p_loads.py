@@ -82,7 +82,7 @@ class P2pLoadParadigm(Paradigm):
         # bounds the consumer's aggregate remote-read rate.
         read_cap = LOAD_OUTSTANDING_BYTES / system.fabric.spec.latency
         throttle = Link(engine, f"gpu{dst_id}.load-mshr", read_cap,
-                        THROTTLE_FORMAT, quantum=system.fabric.quantum)
+                        THROTTLE_FORMAT)
         stall = gpu.compute.launch(
             f"gpu{dst_id}.load-stalls", work=math.inf,
             demand=LOAD_STALL_DEMAND)

@@ -16,7 +16,6 @@ components; the default (``None``) leaves everything enabled.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from repro.core.config import (
@@ -38,19 +37,16 @@ class _ProactParadigmBase(Paradigm):
 
     def __init__(self, config: ProactConfig,
                  elide_transfers: bool = False,
-                 instrument: bool = True,
                  mechanisms: Optional[Mechanisms] = None) -> None:
         self.config = config
         self.elide_transfers = elide_transfers
-        self.instrument = instrument
         self.mechanisms = mechanisms
 
     def _drive(self, system: System, workload,
                phases: Sequence[Sequence[GpuPhaseWork]],
                result: ParadigmResult):
         executor = ProactPhaseExecutor(
-            system, self.config, elide_transfers=self.elide_transfers,
-            instrument=self.instrument)
+            system, self.config, elide_transfers=self.elide_transfers)
         for works in phases:
             phase_result = yield executor.execute(works)
             result.phase_durations.append(phase_result.duration)
@@ -70,7 +66,6 @@ class ProactInlineParadigm(_ProactParadigmBase):
             ProactConfig(MECH_INLINE, DEFAULT_CONFIG.chunk_size,
                          DEFAULT_CONFIG.transfer_threads),
             elide_transfers=elide_transfers,
-            instrument=False,
             mechanisms=mechanisms)
 
 
@@ -81,19 +76,10 @@ class ProactDecoupledParadigm(_ProactParadigmBase):
 
     def __init__(self, config: ProactConfig = DEFAULT_CONFIG,
                  elide_transfers: bool = False,
-                 instrument: Optional[bool] = None,
                  mechanisms: Optional[Mechanisms] = None) -> None:
         if config.mechanism == MECH_INLINE:
             raise ValueError("decoupled paradigm needs a decoupled mechanism")
-        if instrument is not None:
-            warnings.warn(
-                "ProactDecoupledParadigm(instrument=...) is deprecated; "
-                "use mechanisms=Mechanisms(readiness_tracking=False) to "
-                "drop the tracking instrumentation (readiness overlap "
-                "included) or keep the default for the instrumented model",
-                DeprecationWarning, stacklevel=2)
         super().__init__(config, elide_transfers=elide_transfers,
-                         instrument=True if instrument is None else instrument,
                          mechanisms=mechanisms)
 
 
@@ -114,7 +100,6 @@ class ProactHardwareParadigm(_ProactParadigmBase):
             ProactConfig(MECH_HARDWARE, chunk_size,
                          DEFAULT_CONFIG.transfer_threads),
             elide_transfers=elide_transfers,
-            instrument=True,  # the executor skips tracking for hardware
             mechanisms=mechanisms)
 
 

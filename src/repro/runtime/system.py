@@ -20,7 +20,6 @@ from repro.hw.gpu import Gpu
 from repro.hw.platform import PlatformSpec
 from repro.interconnect.fabric import Fabric
 from repro.interconnect.packet import raw_format
-from repro.interconnect.link import DEFAULT_QUANTUM
 from repro.obs.capture import active as active_observation
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.runtime.device import Device
@@ -46,7 +45,6 @@ class System:
     """
 
     def __init__(self, spec: PlatformSpec, infinite_bw: bool = False,
-                 quantum: int = DEFAULT_QUANTUM,
                  num_gpus: Optional[int] = None,
                  dma_engines: int = 1,
                  tracer: Optional[Tracer] = None,
@@ -92,13 +90,13 @@ class System:
             # dependencies (fabric, platform specs).
             from repro.cluster.fabric import ClusterFabric
             self.fabric: Fabric = ClusterFabric(
-                self.engine, spec, infinite=infinite_bw, quantum=quantum)
+                self.engine, spec, infinite=infinite_bw)
         else:
             fmt = (None if self.mechanisms.packet_overhead
                    else raw_format(spec.interconnect.fmt))
             self.fabric = Fabric(self.engine, spec.interconnect,
                                  spec.num_gpus, infinite=infinite_bw,
-                                 quantum=quantum, fmt=fmt)
+                                 fmt=fmt)
         self.devices: List[Device] = [
             Device(self, gpu, dma_engines=dma_engines) for gpu in self.gpus]
         self.checker = None
@@ -114,28 +112,6 @@ class System:
     def validating(self) -> bool:
         """Whether this system runs under the readiness sanitizer."""
         return self.engine.sanitizer.enabled
-
-    def _attach_validation(self) -> ReadinessSanitizer:
-        """Install a fresh sanitizer + conservation checker on this system.
-
-        Used by :class:`~repro.core.runtime.ProactPhaseExecutor` when its
-        config carries ``validate=True`` outside an ambient
-        :func:`repro.validate.validation` scope.  Idempotent once enabled.
-        """
-        if not self.engine.sanitizer.enabled:
-            from repro.validate.conservation import ConservationChecker
-            self.engine.sanitizer = ReadinessSanitizer(label=self.spec.name)
-            self.checker = ConservationChecker(self)
-        return self.engine.sanitizer
-
-    def _finish_validation(self) -> None:
-        """End-of-run audit: conservation over every link, no open chunks.
-
-        No-op when the system is not validating; safe to call from every
-        run-shaped entry point (paradigms, collectives, profiler).
-        """
-        if self.checker is not None:
-            self.checker.check(self.now)
 
     @property
     def now(self) -> float:
@@ -182,15 +158,18 @@ class System:
         executor = CollectiveExecutor(self, access_size=access_size)
         return executor.launch(schedule)
 
-    def _finish_observation(self) -> None:
-        """Flush end-of-run observability: link lanes and run totals.
+    def _finish(self) -> None:
+        """End of run: audit conservation, flush link lanes and totals.
 
+        A validating system checks byte conservation over every link.
         Link occupancy is accumulated as intervals during the run (one
         per service quantum) and exported here as *merged* busy spans —
         one trace span per contiguous busy stretch — so even
-        quantum-heavy runs produce compact traces.  Idempotent; no-op
-        when neither tracing nor metrics are enabled.
+        quantum-heavy runs produce compact traces.  Safe to call from
+        every run-shaped entry point; the flush happens once.
         """
+        if self.checker is not None:
+            self.checker.check(self.now)
         if self._observation_finished:
             return
         self._observation_finished = True

@@ -28,9 +28,6 @@ result:
   :class:`~repro.sim.process.Process` are recycled through free lists
   instead of allocated fresh; recycling happens in :meth:`step` after
   their callbacks have run, so nothing observable changes.
-* **Lazy observability guards** — the verbose per-event trace check is
-  a single cached boolean (refreshed whenever ``engine.tracer`` is
-  assigned), so a NULL observer costs zero attribute chases per event.
 * **Single-event waits** — ``all_of``/``any_of`` over exactly one event
   return a :class:`~repro.sim.events._SingleWait` that skips the
   condition machinery while firing with the identical value.
@@ -66,9 +63,8 @@ class Engine:
     :class:`~repro.sim.trace.Tracer` and a metrics registry, both no-ops
     by default, that every component holding an engine reference can
     publish into (``engine.tracer`` / ``engine.metrics``).  Scheduling
-    itself is always counted (two integer increments); per-event trace
-    records are emitted only for a *verbose* tracer, because they dwarf
-    every structural lane.
+    itself is always counted (two integer increments); nothing is traced
+    per event.
     """
 
     def __init__(self, start_time: float = 0.0,
@@ -93,18 +89,6 @@ class Engine:
         # Free lists for the engine-internal recyclable event classes.
         self._timeout_pool: List[_PooledTimeout] = []
         self._event_pool: List[_PooledEvent] = []
-
-    @property
-    def tracer(self) -> Tracer:
-        """The engine's tracer (assignment refreshes the verbose guard)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Tracer) -> None:
-        self._tracer = value
-        # Cached so the per-event hot path pays one attribute load, not
-        # an attribute chase through a (usually NULL) tracer.
-        self._trace_events = bool(value.enabled and value.verbose)
 
     @property
     def now(self) -> float:
@@ -203,9 +187,6 @@ class Engine:
             self._heap, (self._now + delay, priority, self._sequence, event))
         self._sequence += 1
         self.events_scheduled += 1
-        if self._trace_events:
-            self._tracer.record(self._now, "engine", "schedule",
-                                payload=type(event).__name__)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -245,9 +226,6 @@ class Engine:
                 "event heap corrupted: time went backwards"))
         self._now = when
         self.events_fired += 1
-        if self._trace_events:
-            self._tracer.record(when, "engine", "fire",
-                                payload=type(event).__name__)
         callbacks = event.callbacks
         event._processed = True
         event.callbacks = None

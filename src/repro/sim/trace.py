@@ -15,7 +15,7 @@ Channel names follow the convention ``gpu{N}.{lane}`` (``kernel``,
 ``agent``, ``transfer``, ``link:*``) so exporters such as
 :mod:`repro.obs.chrome_trace` can lay records out as one process per GPU
 with one track per lane; channels without a ``gpu{N}.`` prefix (e.g.
-``phase``, ``profiler``, ``engine``) belong to the simulation as a whole.
+``phase``, ``profiler``, ``collective``) belong to the simulation as a whole.
 """
 
 from __future__ import annotations
@@ -53,15 +53,10 @@ class Tracer:
     Records are kept in insertion order *and* indexed per channel at
     :meth:`record` time, so :meth:`channel` and :meth:`count` are O(size
     of the answer) rather than a scan of every record ever taken.
-
-    ``verbose`` opts into very high-volume channels (per-event engine
-    scheduling, per-quantum link service); structural lanes (kernels,
-    agents, transfers) are always recorded when the tracer is enabled.
     """
 
-    def __init__(self, enabled: bool = True, verbose: bool = False) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.verbose = verbose
         self._records: List[TraceRecord] = []
         self._by_channel: Dict[str, List[TraceRecord]] = {}
 

@@ -16,8 +16,8 @@ Three instruments, all riding hooks the simulator already exposes:
   the runs agree wherever the models must.
 
 Enable ambiently with :func:`validation` (what the runner's
-``--validate`` flag does), or per executor via
-``ProactConfig(validate=True)``.
+``--validate`` flag does) or per session via
+``Session(..., validate=True)``.
 """
 
 from repro.validate.conservation import ConservationChecker

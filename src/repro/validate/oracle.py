@@ -228,8 +228,7 @@ class DifferentialOracle:
                     invariant="schedule-verifier-disagreement") from exc
             proc = CollectiveExecutor(system).launch(schedule)
             system.run(until=proc)
-            system._finish_observation()
-            system._finish_validation()
+            system._finish()
             result = proc.value
 
         for gpu in range(schedule.num_gpus):

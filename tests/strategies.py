@@ -46,21 +46,18 @@ def chunk_sizes(min_size=16 * KiB, max_size=1 * MiB):
     return st.sampled_from(sizes)
 
 
-def proact_configs(mechanisms=(MECH_POLLING, MECH_CDP, MECH_HARDWARE),
-                   validate=False):
+def proact_configs(mechanisms=(MECH_POLLING, MECH_CDP, MECH_HARDWARE)):
     """A decoupled PROACT config (inline has no chunk semantics)."""
     return st.builds(
-        lambda mech, chunk, threads: ProactConfig(
-            mech, chunk, threads, validate=validate),
+        ProactConfig,
         st.sampled_from(list(mechanisms)),
         chunk_sizes(),
         st.sampled_from([256, 1024, 2048]))
 
 
-def inline_configs(validate=False):
+def inline_configs():
     return st.builds(
-        lambda chunk: ProactConfig(MECH_INLINE, chunk, 32,
-                                   validate=validate),
+        lambda chunk: ProactConfig(MECH_INLINE, chunk, 32),
         chunk_sizes(min_size=4 * KiB, max_size=64 * KiB))
 
 

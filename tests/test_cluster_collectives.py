@@ -7,8 +7,12 @@ the same contracts as the flat algorithms — contributor-complete under
 the flat ring across node boundaries, which is its reason to exist.
 """
 
+import textwrap
+
 import pytest
 
+import repro.cluster
+from repro.api import Session
 from repro.cluster import (
     CLUSTER_PLATFORMS,
     HDR200_NIC,
@@ -21,7 +25,6 @@ from repro.collectives import (
     ALGO_HIERARCHICAL,
     CollectiveTuner,
     build_schedule,
-    run_collective,
     supported_algorithms,
     verify_schedule,
 )
@@ -103,25 +106,35 @@ def test_supported_algorithms_admits_hierarchical_on_clusters_only():
 
 def test_hierarchical_beats_the_flat_ring_across_nodes():
     platform = quad_cluster(4)  # 16 GPUs over 4 nodes
-    ring = run_collective(platform, "all_reduce", "ring", 1 * MiB,
-                          chunk_size=256 * KiB)
-    hier = run_collective(platform, "all_reduce", ALGO_HIERARCHICAL,
-                          1 * MiB, chunk_size=256 * KiB)
+    ring = Session(platform).collective(
+        "all_reduce", 1 * MiB, algorithm="ring", chunk_size=256 * KiB)
+    hier = Session(platform).collective(
+        "all_reduce", 1 * MiB, algorithm=ALGO_HIERARCHICAL,
+        chunk_size=256 * KiB)
     assert hier.duration < ring.duration
     assert hier.bus_bandwidth > ring.bus_bandwidth
 
 
 def test_hierarchical_runs_on_a_torus():
     platform = quad_cluster(8, inter=TORUS_3D)
-    result = run_collective(platform, "all_reduce", ALGO_HIERARCHICAL,
-                            256 * KiB, chunk_size=64 * KiB)
+    result = Session(platform).collective(
+        "all_reduce", 256 * KiB, algorithm=ALGO_HIERARCHICAL,
+        chunk_size=64 * KiB)
     assert result.duration > 0
     want = hierarchical_sent_bytes(256 * KiB, platform.num_gpus, 4)
     assert all(sent == want for sent in result.sent_bytes)
 
 
+def test_package_docstring_example_runs():
+    # The usage example in the package docstring runs as written.
+    example = textwrap.dedent(repro.cluster.__doc__.split("::", 1)[1])
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["result"].num_gpus == 64
+    assert namespace["result"].algorithm == ALGO_HIERARCHICAL
+
+
 def test_session_runs_a_cluster_collective():
-    from repro.api import Session
     session = Session("64x_volta_fat_tree", validate=True)
     result = session.collective("all_reduce", 256 * KiB,
                                 algorithm=ALGO_HIERARCHICAL)

@@ -20,7 +20,6 @@ from repro.collectives import (
     COLL_ALL_REDUCE,
     CollectiveExecutor,
     build_schedule,
-    run_collective,
     supported_algorithms,
     verify_schedule,
 )
@@ -45,8 +44,8 @@ def test_all_collectives_run_on_every_platform(platform_name):
     for collective in ALL_COLLECTIVES:
         for algorithm in supported_algorithms(collective,
                                               platform.num_gpus):
-            result = run_collective(platform, collective, algorithm,
-                                    1 * MiB, 256 * KiB)
+            result = Session(platform).collective(
+                collective, 1 * MiB, algorithm=algorithm, chunk_size=256 * KiB)
             assert result.duration > 0
             assert result.bus_bandwidth > 0
             assert result.op_count > 0
@@ -69,8 +68,9 @@ def test_all_reduce_accounting_is_identical_everywhere():
             assert all(payload == everyone
                        for payload in buffers[gpu].values())
         # And the executed run agrees with the schedule's accounting.
-        result = run_collective(PLATFORMS["4x_volta"], COLL_ALL_REDUCE,
-                                algorithm, 1 * MiB + 13, 128 * KiB)
+        result = Session(PLATFORMS["4x_volta"]).collective(
+            COLL_ALL_REDUCE, 1 * MiB + 13, algorithm=algorithm,
+            chunk_size=128 * KiB)
         assert result.sent_bytes == tuple(
             schedule.sent_bytes(gpu) for gpu in range(4))
 
@@ -79,8 +79,8 @@ def test_ring_all_reduce_wire_bytes_are_bandwidth_optimal():
     # Property (b): each GPU sources exactly 2 (N-1)/N of the payload.
     for platform_name, num_gpus in (("4x_volta", 4), ("16x_volta", 16)):
         nbytes = 8 * MiB
-        result = run_collective(PLATFORMS[platform_name], COLL_ALL_REDUCE,
-                                ALGO_RING, nbytes, 256 * KiB)
+        result = Session(PLATFORMS[platform_name]).collective(
+            COLL_ALL_REDUCE, nbytes, algorithm=ALGO_RING, chunk_size=256 * KiB)
         expected = 2 * (num_gpus - 1) * nbytes // num_gpus
         assert result.sent_bytes == (expected,) * num_gpus
 
@@ -91,20 +91,20 @@ def test_chunked_ring_beats_direct_bulk_and_tree_beats_ring_small():
     # ring pipelines disjoint link pairs.
     kepler = PLATFORMS["4x_kepler"]
     nbytes = 16 * MiB
-    ring = run_collective(kepler, COLL_ALL_REDUCE, ALGO_RING, nbytes,
-                          256 * KiB)
-    bulk = run_collective(kepler, COLL_ALL_REDUCE, ALGO_DIRECT, nbytes,
-                          chunk_size=nbytes)
+    ring = Session(kepler).collective(
+        COLL_ALL_REDUCE, nbytes, algorithm=ALGO_RING, chunk_size=256 * KiB)
+    bulk = Session(kepler).collective(
+        COLL_ALL_REDUCE, nbytes, algorithm=ALGO_DIRECT, chunk_size=nbytes)
     assert ring.duration < bulk.duration
 
     # Latency side: at small payloads the 16-GPU ring pays 2(N-1) = 30
     # serial hops; the tree finishes in 2 log2(N) = 8 rounds.
     volta16 = PLATFORMS["16x_volta"]
     small = 64 * KiB
-    ring_small = run_collective(volta16, COLL_ALL_REDUCE, ALGO_RING,
-                                small, 16 * KiB)
-    tree_small = run_collective(volta16, COLL_ALL_REDUCE, ALGO_TREE,
-                                small, 16 * KiB)
+    ring_small = Session(volta16).collective(
+        COLL_ALL_REDUCE, small, algorithm=ALGO_RING, chunk_size=16 * KiB)
+    tree_small = Session(volta16).collective(
+        COLL_ALL_REDUCE, small, algorithm=ALGO_TREE, chunk_size=16 * KiB)
     assert tree_small.duration < ring_small.duration
 
 
@@ -113,10 +113,10 @@ def test_chunking_overlaps_ring_hops():
     # must beat one bulk message per hop (store-and-forward).
     kepler = PLATFORMS["4x_kepler"]
     nbytes = 16 * MiB
-    chunked = run_collective(kepler, "broadcast", ALGO_RING, nbytes,
-                             256 * KiB)
-    bulk = run_collective(kepler, "broadcast", ALGO_RING, nbytes,
-                          chunk_size=nbytes)
+    chunked = Session(kepler).collective(
+        "broadcast", nbytes, algorithm=ALGO_RING, chunk_size=256 * KiB)
+    bulk = Session(kepler).collective(
+        "broadcast", nbytes, algorithm=ALGO_RING, chunk_size=nbytes)
     assert chunked.duration < bulk.duration
 
 

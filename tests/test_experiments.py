@@ -272,3 +272,26 @@ def test_utilization_run_small():
     assert set(result.timelines) == {"cudaMemcpy", "PROACT-decoupled"}
     assert all(len(s) == 16 for s in result.timelines.values())
     assert "utilization" in str(result.table())
+
+
+def test_utilization_runs_audit_conservation_under_validation(monkeypatch):
+    # The utilization harness drives its own systems; under --validate
+    # they must get the same end-of-run audit as every other run.
+    from repro.experiments.utilization import _run_with_fabric
+    from repro.paradigms import BulkMemcpyParadigm
+    from repro.validate import ConservationChecker, validation
+    from repro.workloads import MicroBenchmark
+
+    audits = []
+    check = ConservationChecker.check
+
+    def counting_check(self, now):
+        audits.append(now)
+        check(self, now)
+
+    monkeypatch.setattr(ConservationChecker, "check", counting_check)
+    with validation():
+        _, runtime, _ = _run_with_fabric(
+            BulkMemcpyParadigm(), MicroBenchmark(data_bytes=8 * MiB),
+            PLATFORM_4X_VOLTA, buckets=4)
+    assert audits == [runtime]

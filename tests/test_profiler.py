@@ -4,12 +4,14 @@ import os
 
 import pytest
 
+from repro.api import Session
 from repro.core import (
     MECH_CDP,
     MECH_INLINE,
     MECH_POLLING,
     ProactConfig,
     Profiler,
+    tracking_overhead,
 )
 from repro.core.profiler import (
     ExecutorBackend,
@@ -20,10 +22,11 @@ from repro.core.profiler import (
     TaskSession,
     run_phases,
 )
-from repro.errors import ProactError
+from repro.errors import CollectiveError, ProactError
 from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
 from repro.workloads import PageRankWorkload
+from tests.conftest import one_producer_phase
 from tests.conftest import small_jacobi as _small_jacobi
 from tests.conftest import small_pagerank as _small_pagerank
 
@@ -57,6 +60,20 @@ def test_profiler_rejects_duplicate_grid_values(axis, values):
     # signature no deduplicated grid matches.
     with pytest.raises(ProactError, match=f"duplicate {axis}"):
         Profiler(PLATFORM_4X_VOLTA, **{axis: values})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: s.profile(small_pagerank(), chunk_sizes=()), ProactError),
+    (lambda s: s.profile(small_pagerank(), thread_counts=()), ProactError),
+    (lambda s: s.profile(small_pagerank(), mechanisms=()), ProactError),
+    (lambda s: s.plan_collective("all_reduce", 1 * MiB, chunk_sizes=()),
+     CollectiveError),
+], ids=["profile-chunks", "profile-threads", "profile-mechanisms",
+        "plan-collective-chunks"])
+def test_session_rejects_empty_sweep_ranges(call, error):
+    # An empty axis used to fall back silently to the full default grid.
+    with pytest.raises(error, match="non-empty sweep ranges"):
+        call(Session(PLATFORM_4X_VOLTA))
 
 
 def test_profile_result_requires_entries():
@@ -295,10 +312,17 @@ def test_run_phases_infinite_bw_flag():
 
 
 def test_run_phases_instrumentation_flag():
+    # run_phases always instruments decoupled kernels, so its runtime
+    # grows with the producer's CTA count by the tracking overhead.
     config = ProactConfig(MECH_POLLING, 1 * MiB, 2048)
-    builder = small_pagerank().phase_builder()
-    with_tracking = run_phases(PLATFORM_4X_VOLTA, config, builder,
-                               elide_transfers=True)
-    without = run_phases(PLATFORM_4X_VOLTA, config, builder,
-                         elide_transfers=True, instrument=False)
-    assert with_tracking > without
+
+    def runtime(num_ctas):
+        return run_phases(PLATFORM_4X_VOLTA, config, lambda system: [
+            one_producer_phase(system, region_bytes=4 * MiB,
+                               num_ctas=num_ctas)])
+
+    gpu = PLATFORM_4X_VOLTA.gpu
+    overhead = (tracking_overhead(gpu, 100_000)
+                - tracking_overhead(gpu, 50_000))
+    assert runtime(100_000) - runtime(50_000) == pytest.approx(
+        overhead, rel=0.05)

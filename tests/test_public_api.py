@@ -1,4 +1,4 @@
-"""Public-API surface tests: snapshot + deprecation contract.
+"""Public-API surface tests: snapshot + warning-free supported paths.
 
 The checked-in snapshot (``tests/data/public_api.json``) records the
 package's advertised surface — ``repro.__all__`` plus every public
@@ -8,17 +8,14 @@ reviewed decision.  After an intentional change, regenerate with::
 
     PYTHONPATH=src python tests/test_public_api.py --regen
 
-The deprecation tests pin the compatibility contract of PR 5's facade
-redesign: the legacy entry points still work but warn, and the
-supported paths stay warning-free.
+The warning tests pin that the supported paths never route through a
+deprecated spelling.
 """
 
 import inspect
 import json
 import pathlib
 import warnings
-
-import pytest
 
 import repro
 import repro.ablation
@@ -98,24 +95,8 @@ def test_session_accepts_mechanisms():
 
 
 # ----------------------------------------------------------------------
-# Deprecation contract
+# Supported paths stay warning-free
 # ----------------------------------------------------------------------
-def test_proact_config_validate_warns_but_works():
-    import dataclasses
-
-    from repro.core.config import DEFAULT_CONFIG
-    with pytest.warns(DeprecationWarning, match="validate=True"):
-        config = dataclasses.replace(DEFAULT_CONFIG, validate=True)
-    assert config.validate
-
-
-def test_paradigm_instrument_warns_but_works():
-    from repro.paradigms import ProactDecoupledParadigm
-    with pytest.warns(DeprecationWarning, match="readiness_tracking"):
-        paradigm = ProactDecoupledParadigm(instrument=False)
-    assert paradigm.instrument is False
-
-
 def test_context_profile_policy_does_not_warn():
     from repro.experiments.registry import ExperimentContext, ProfilePolicy
     with warnings.catch_warnings():

@@ -239,9 +239,11 @@ def test_healthy_tracker_passes_under_sanitizer():
 # ---------------------------------------------------------------------------
 
 def test_decoupled_phase_runs_clean_with_config_validate():
-    system = volta_system()
-    assert not system.validating
-    config = ProactConfig(MECH_POLLING, 256 * KiB, 2048, validate=True)
+    # Validation is a run policy: the system built inside the scope
+    # carries the sanitizer, whatever configuration it then runs.
+    with validation():
+        system = volta_system()
+    config = ProactConfig(MECH_POLLING, 256 * KiB, 2048)
     result = run_phase(system, config,
                        one_producer_phase(system, region_bytes=8 * MiB))
     assert system.validating
