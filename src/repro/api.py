@@ -181,17 +181,13 @@ class Session:
                 chunk_sizes: Optional[Sequence[int]] = None,
                 thread_counts: Optional[Sequence[int]] = None,
                 mechanisms: Optional[Sequence[str]] = None,
-                jobs: Optional[int] = None,
-                progress: Union[bool, Callable[..., None], None] = None):
+                jobs: Optional[int] = None):
         """Run PROACT's compile-time profiler for ``workload``.
 
         ``strategy`` names the search mode (``"coordinate"``,
         ``"exhaustive"``, or ``"search"`` for the floor-seeded
         autotuner: the exhaustive argmin from fewer full measurements).
         ``jobs`` selects the warm-worker process-pool backend.
-        ``progress`` streams live
-        :class:`~repro.core.profiler.SweepProgress` snapshots — ``True``
-        for a stderr status line per wave, or any callable sink.
         Returns a :class:`~repro.core.profiler.ProfileResult`.
         """
         from repro.core.profiler import ProcessPoolBackend, Profiler
@@ -201,7 +197,7 @@ class Session:
         profiler = Profiler(
             self.platform, **grid, search=strategy,
             backend=ProcessPoolBackend(jobs) if jobs is not None else None,
-            progress=progress, toggles=self.mechanisms)
+            toggles=self.mechanisms)
         builder = (workload.phase_builder()
                    if hasattr(workload, "phase_builder") else workload)
         with self.scope():

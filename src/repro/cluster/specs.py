@@ -19,7 +19,7 @@ check the ``is_cluster`` attribute rather than importing this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.platform import PlatformSpec
@@ -227,8 +227,3 @@ def cluster_platform_by_name(name: str) -> ClusterPlatformSpec:
         raise ConfigurationError(
             f"unknown cluster platform {name!r}; "
             f"available: {sorted(CLUSTER_PLATFORMS)}") from None
-
-
-#: All names a platform lookup should recognize, for error messages.
-def cluster_platform_names() -> Tuple[str, ...]:
-    return tuple(sorted(CLUSTER_PLATFORMS))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.collectives.schedule import (
     COLL_ALL_GATHER,
@@ -157,9 +157,3 @@ class CollectiveExecutor:
                 collective=schedule.collective,
                 algorithm=schedule.algorithm)
         return result
-
-
-def bus_bandwidth_table(results: Dict[str, CollectiveResult]) -> Dict[str, float]:
-    """Per-algorithm bus bandwidth (bytes/s) from a result mapping."""
-    return {algorithm: result.bus_bandwidth
-            for algorithm, result in results.items()}

@@ -25,7 +25,7 @@ from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
 from repro.collectives.schedule import ALL_COLLECTIVES, COLL_ALL_REDUCE
 from repro.core.config import PROFILE_CHUNK_SIZES
-from repro.core.profiler import ExecutorBackend, SerialBackend
+from repro.core.profiler import ExecutorBackend, ProcessPoolBackend
 from repro.core.store import SignatureKeyedStore
 from repro.errors import CollectiveError
 from repro.hw.platform import PlatformSpec
@@ -165,7 +165,7 @@ class CollectiveTuner:
         self.collective = collective
         self.algorithms = tuple(algorithms)
         self.chunk_sizes = tuple(sorted(chunk_sizes))
-        self.backend = backend or SerialBackend()
+        self.backend = backend or ProcessPoolBackend(1)
 
     def sweep_signature(self) -> str:
         """Canonical identifier of this sweep's search space.
@@ -202,12 +202,6 @@ class CollectiveTuner:
                                       nbytes=nbytes, entries=entries)
         self._observe(nbytes, entries)
         return result
-
-    def tune_buckets(self,
-                     buckets: Sequence[Tuple[str, int]] = PAYLOAD_BUCKETS,
-                     ) -> Dict[str, CollectiveTuneResult]:
-        """Sweep every payload bucket; returns results keyed by bucket."""
-        return {name: self.tune(nbytes) for name, nbytes in buckets}
 
     def _observe(self, nbytes: int,
                  entries: Sequence[CollectiveMeasurement]) -> None:

@@ -46,7 +46,6 @@ from repro.core.profiler import (
     ProfileEntry,
     Profiler,
     ProfileResult,
-    SerialBackend,
     measure_config,
     run_phases,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "ProactPhaseExecutor",
     "Profiler",
     "ExecutorBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "measure_config",
     "ProfileStore",

@@ -48,8 +48,8 @@ embarrassingly parallel.  The profiler hands its measurements to an
 :class:`ExecutorBackend`, whose one entry point ``open_session(fn)``
 returns a :class:`TaskSession` that maps waves of tasks through ``fn``:
 
-* :class:`SerialBackend` (default) measures in-process, one by one;
-* :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep.
+* :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep
+  (``jobs=1``, the default, measures in-process, one by one).
 
 The warm-worker protocol is what makes parallel sweeps actually pay off:
 the profiler opens one session per ``profile()`` call, the backend ships
@@ -86,10 +86,6 @@ incumbent updates, hill-climb moves, certification waves — lands in the
 observation's typed :class:`~repro.obs.decisions.DecisionLog` (mirrored
 on the ``decision`` trace channel), with the invariant that each grid
 candidate ends in exactly one ``measure`` or ``prune`` event.
-
-Independently of capture, ``Profiler(..., progress=True)`` (or a
-callback) reports live progress — configs/sec, prune rate, ETA, worker
-utilization — as :class:`SweepProgress` snapshots after each wave.
 """
 
 from __future__ import annotations
@@ -99,7 +95,6 @@ import functools
 import math
 import os
 import pickle
-import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -112,7 +107,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.config import (
@@ -131,6 +125,8 @@ from repro.obs.capture import active as active_observation
 from repro.obs.capture import suppress as suppress_observation
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.system import System
+from repro.validate.scope import active as active_validation
+from repro.validate.scope import validation
 
 #: A phase builder produces the application's phases for a given system.
 PhaseBuilder = Callable[[System], List[List[GpuPhaseWork]]]
@@ -271,7 +267,7 @@ _WORKER_FN: Optional[Callable[[Any], Any]] = None
 
 #: Worker-global batch counter, bumped per ``_warm_worker_batch`` call,
 #: so telemetry records can be grouped back into their true queue
-#: batches (the serial backend leaves it at 0: one map call, one batch).
+#: batches (an in-process session leaves it at 0: one map call, one batch).
 _WORKER_BATCH: int = 0
 
 
@@ -292,6 +288,18 @@ def _warm_worker_batch(batch: Sequence[Any]) -> List[Any]:
     assert _WORKER_FN is not None, "warm worker used before initialization"
     _WORKER_BATCH += 1
     return [_WORKER_FN(task) for task in batch]
+
+
+def _validated_task(fn: Callable[[Any], Any],
+                    task: Any) -> Tuple[Any, Dict[str, int]]:
+    """Run one task under its own validation scope; return its counters.
+
+    Pool workers never see the parent's ambient validation, so each task
+    validates itself and the parent folds the counters back in.
+    """
+    with validation() as scope:
+        result = fn(task)
+    return result, scope.summary()
 
 
 class TaskSession:
@@ -334,7 +342,8 @@ class _WarmPoolSession(TaskSession):
     process boundary a single time instead of once per candidate.  Tasks
     are streamed in batches — enough batches per worker that uneven
     candidate costs still balance, few enough that queue overhead stays
-    negligible.
+    negligible.  Under an ambient validation every task is validated in
+    its worker and the counters fold into the parent's scope.
     """
 
     #: Batches submitted per worker: load-balance vs. queue overhead.
@@ -342,6 +351,9 @@ class _WarmPoolSession(TaskSession):
 
     def __init__(self, fn: Callable[[Any], Any], jobs: int) -> None:
         self.jobs = jobs
+        self._validation = active_validation()
+        if self._validation is not None:
+            fn = functools.partial(_validated_task, fn)
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = (
             concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_warm_worker_init,
@@ -375,6 +387,10 @@ class _WarmPoolSession(TaskSession):
                 raise ProactError(
                     "worker process died during the sweep; unfinished "
                     f"batches ({numbers}) contained: {named}") from exc
+        if self._validation is not None:
+            for _result, counters in results:
+                self._validation.fold(counters)
+            results = [result for result, _counters in results]
         return results
 
     def close(self) -> None:
@@ -410,13 +426,6 @@ class ExecutorBackend:
         raise NotImplementedError
 
 
-class SerialBackend(ExecutorBackend):
-    """Measure in-process, one task at a time."""
-
-    def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
-        return _InProcessSession(fn)
-
-
 class ProcessPoolBackend(ExecutorBackend):
     """Fan tasks out over warm worker processes.
 
@@ -429,7 +438,7 @@ class ProcessPoolBackend(ExecutorBackend):
     The pool is *warm*: opened once per session with the task function
     pre-installed in every worker, after which only small task tuples
     cross the queue (see the module docstring).  ``jobs=1`` runs
-    in-process, exactly like :class:`SerialBackend`.  A worker that dies
+    in-process, one task at a time.  A worker that dies
     mid-sweep raises :class:`~repro.errors.ProactError` naming every
     unfinished batch.
     """
@@ -511,11 +520,6 @@ class _TelemetrySession(TaskSession):
     def close(self) -> None:
         self.inner.close()
 
-    @property
-    def worker_count(self) -> int:
-        """Distinct worker processes seen so far."""
-        return len(self._worker_lanes)
-
     def _lane(self, pid: int) -> str:
         lane = self._worker_lanes.get(pid)
         if lane is None:
@@ -541,7 +545,6 @@ class _TelemetrySession(TaskSession):
                 lane_first_start[lane] = started
             mechanism, chunk_size, threads, kind = record.task
             duration = ended - started
-            self.telemetry.busy_s += duration
             tracer.span(started - epoch, ended - epoch, lane,
                         f"{kind} {mechanism}/c{chunk_size}/t{threads}",
                         payload={"kind": kind, "mechanism": mechanism,
@@ -564,87 +567,22 @@ class _TelemetrySession(TaskSession):
         return results
 
 
-@dataclass(frozen=True)
-class SweepProgress:
-    """One live snapshot of a sweep, delivered to ``progress`` sinks.
-
-    ``eta_s`` and ``worker_utilization`` are ``None`` when unknowable
-    (nothing finished yet; utilization needs ``capture(sweeps=True)``
-    because only the telemetry envelopes carry worker busy time).
-    """
-
-    stage: str  #: ``floors``/``measure``/``rung``/``climb``/``certify``/``done``
-    platform: str
-    total_configs: int  #: Grid candidates this sweep will decide on.
-    measured: int
-    pruned: int
-    floor_runs: int
-    elapsed_s: float
-    configs_per_s: float
-    eta_s: Optional[float]
-    workers: int
-    worker_utilization: Optional[float]
-
-    @property
-    def decided(self) -> int:
-        """Candidates already measured or pruned."""
-        return self.measured + self.pruned
-
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of decided candidates that were pruned."""
-        return self.pruned / self.decided if self.decided else 0.0
-
-    def render(self) -> str:
-        """One human-readable status line (the stderr reporter's output)."""
-        parts = [f"[profile {self.platform}] {self.stage}:",
-                 f"{self.decided}/{self.total_configs} configs",
-                 f"({self.pruned} pruned)"]
-        if self.configs_per_s > 0:
-            parts.append(f"{self.configs_per_s:.1f} cfg/s")
-        if self.eta_s is not None:
-            parts.append(f"eta {self.eta_s:.1f}s")
-        if self.worker_utilization is not None:
-            parts.append(f"util {self.worker_utilization:.0%}")
-        return " ".join(parts)
-
-
-def _stderr_progress(progress: SweepProgress) -> None:
-    """The ``progress=True`` sink: one status line per wave on stderr."""
-    print(progress.render(), file=sys.stderr, flush=True)
-
-
-#: What ``Profiler(progress=...)`` accepts: a callback, True for the
-#: stderr reporter, or None/False for silence.
-ProgressSink = Union[None, bool, Callable[[SweepProgress], None]]
-
-
 class _SweepTelemetry:
-    """Parent-side controller for one sweep's telemetry and progress.
+    """Parent-side writer of one sweep's decision log.
 
     Owns the decision bookkeeping (every grid candidate must end in
-    exactly one ``measure`` or ``prune`` event), the incumbent tracking
-    (same :func:`_entry_order` tie-breaks as :attr:`ProfileResult.best`,
-    so the decision log's final incumbent is the sweep's actual winner),
-    and the progress ticks.  When neither ``capture(sweeps=True)`` nor a
-    progress sink is active every method is a cheap early return and the
-    task session is never wrapped, so sweeps pay nothing.
+    exactly one ``measure`` or ``prune`` event) and the incumbent
+    tracking (same :func:`_entry_order` tie-breaks as
+    :attr:`ProfileResult.best`, so the decision log's final incumbent is
+    the sweep's actual winner).  Without ``capture(sweeps=True)`` every
+    method is a cheap early return and the task session is never
+    wrapped, so sweeps pay nothing.
     """
 
     def __init__(self, observation: Optional[Observation],
-                 progress: Optional[Callable[[SweepProgress], None]],
-                 total: int, workers: int, platform: str) -> None:
+                 platform: str) -> None:
         self.observation = observation
-        self.progress = progress
-        self.enabled = observation is not None or progress is not None
-        self.total = total
-        self.workers = workers
         self.platform = platform
-        self.measured = 0
-        self.pruned = 0
-        self.floor_runs = 0
-        self.busy_s = 0.0  #: Summed worker task time (utilization input).
-        self.started = time.perf_counter()
         self._best: Optional[ProfileEntry] = None
 
     def _log(self, kind: str, config: Optional[str] = None,
@@ -654,25 +592,21 @@ class _SweepTelemetry:
 
     def floors_done(self, floors: Dict[ProactConfig, float]) -> None:
         """One batch of infinite-BW lower bounds finished."""
-        if not self.enabled or not floors:
+        if self.observation is None or not floors:
             return
-        self.floor_runs += len(floors)
-        if self.observation is not None:
-            for value in floors.values():
-                self.observation.metrics.observe(
-                    "sweep_floor_runtime_ms", value * 1e3,
-                    platform=self.platform)
+        for value in floors.values():
+            self.observation.metrics.observe(
+                "sweep_floor_runtime_ms", value * 1e3,
+                platform=self.platform)
         values = floors.values()
         self._log("floors", count=len(floors),
                   min_floor=min(values), max_floor=max(values))
-        self.tick("floors")
 
     def measured_entries(self, entries: Sequence[ProfileEntry]) -> None:
         """Record measure (and any incumbent-improvement) events."""
-        if not self.enabled:
+        if self.observation is None:
             return
         for entry in entries:
-            self.measured += 1
             self._log("measure", config=entry.config.label(),
                       runtime=entry.runtime)
             if self._best is None or _entry_order(entry) < _entry_order(
@@ -684,48 +618,19 @@ class _SweepTelemetry:
     def pruned_config(self, config: ProactConfig, floor: float,
                       incumbent: float) -> None:
         """One candidate skipped because ``floor > incumbent``."""
-        if not self.enabled:
-            return
-        self.pruned += 1
         self._log("prune", config=config.label(), floor=floor,
                   incumbent=incumbent)
 
     def rung(self, size: int) -> None:
-        if self.enabled:
-            self._log("rung", size=size)
+        self._log("rung", size=size)
 
     def move(self, entry: ProfileEntry) -> None:
         """The hill-climb relocated to a better neighbor."""
-        if self.enabled:
-            self._log("move", config=entry.config.label(),
-                      runtime=entry.runtime)
+        self._log("move", config=entry.config.label(),
+                  runtime=entry.runtime)
 
     def certify_wave(self, size: int) -> None:
-        if self.enabled:
-            self._log("certify", size=size)
-
-    def done(self) -> None:
-        self.tick("done")
-
-    def tick(self, stage: str) -> None:
-        """Deliver one progress snapshot (no-op without a sink)."""
-        if self.progress is None:
-            return
-        elapsed = time.perf_counter() - self.started
-        decided = self.measured + self.pruned
-        rate = decided / elapsed if elapsed > 0 else 0.0
-        remaining = max(0, self.total - decided)
-        eta = remaining / rate if rate > 0 else None
-        utilization = None
-        if self.observation is not None and elapsed > 0 and self.busy_s > 0:
-            utilization = min(1.0,
-                              self.busy_s / (elapsed * max(1, self.workers)))
-        self.progress(SweepProgress(
-            stage=stage, platform=self.platform, total_configs=self.total,
-            measured=self.measured, pruned=self.pruned,
-            floor_runs=self.floor_runs, elapsed_s=elapsed,
-            configs_per_s=rate, eta_s=eta, workers=self.workers,
-            worker_utilization=utilization))
+        self._log("certify", size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +646,6 @@ class Profiler:
                  mechanisms: Sequence[str] = ALL_MECHANISMS,
                  search: str = "coordinate",
                  backend: Optional[ExecutorBackend] = None,
-                 progress: ProgressSink = None,
                  toggles: Optional[Mechanisms] = None) -> None:
         if search not in SEARCH_MODES:
             raise ProactError(
@@ -772,10 +676,7 @@ class Profiler:
         self.mechanisms = tuple(mechanisms)
         #: The configured mode: one of :data:`SEARCH_MODES`.
         self.search_mode = search
-        self.backend = backend or SerialBackend()
-        #: Live-progress sink: True for stderr, or a callback taking
-        #: :class:`SweepProgress` snapshots (independent of capture).
-        self.progress = progress
+        self.backend = backend or ProcessPoolBackend(1)
 
     def sweep_signature(self) -> str:
         """Canonical identifier of this sweep's full search space.
@@ -800,39 +701,12 @@ class Profiler:
             signature += f"|{self.toggles.signature()}"
         return signature
 
-    def _progress_sink(self) -> Optional[Callable[[SweepProgress], None]]:
-        if callable(self.progress):
-            return self.progress
-        if self.progress:
-            return _stderr_progress
-        return None
-
-    def _planned_configs(self) -> int:
-        """How many grid candidates this sweep will decide on (ETA math).
-
-        Coordinate search never visits the full grid: per non-inline
-        mechanism it measures one chunk sweep at the top thread count
-        plus the remaining thread counts at the winning chunk.
-        """
-        if self.search_mode == "coordinate":
-            total = 0
-            for mechanism in self.mechanisms:
-                if mechanism == MECH_INLINE:
-                    total += 1
-                else:
-                    total += len(self.chunk_sizes) + len(self.thread_counts) - 1
-            return total
-        return len(self._full_grid())
-
     def _sweep_telemetry(self) -> _SweepTelemetry:
         """Per-sweep telemetry controller (inert unless opted in)."""
         observation = active_observation()
         if observation is not None and not observation.sweeps:
             observation = None
-        return _SweepTelemetry(observation, self._progress_sink(),
-                               total=self._planned_configs(),
-                               workers=max(1, self.backend.parallelism),
-                               platform=self.platform.name)
+        return _SweepTelemetry(observation, platform=self.platform.name)
 
     def _open_session(self, phase_builder: PhaseBuilder,
                       telemetry: _SweepTelemetry) -> TaskSession:
@@ -882,7 +756,6 @@ class Profiler:
                 for mechanism in self.mechanisms:
                     measured[mechanism].extend(second[mechanism])
 
-            telemetry.done()
             return ProfileResult(entries=[
                 entry for mechanism in self.mechanisms
                 for entry in measured[mechanism]])
@@ -961,7 +834,7 @@ class Profiler:
         entries: List[ProfileEntry] = []
         measured: Dict[ProactConfig, ProfileEntry] = {}
 
-        def measure(configs: Sequence[ProactConfig], stage: str) -> None:
+        def measure(configs: Sequence[ProactConfig]) -> None:
             fresh = [config for config in configs
                      if config not in measured]
             if not fresh:
@@ -973,12 +846,11 @@ class Profiler:
                 measured[entry.config] = entry
                 entries.append(entry)
             telemetry.measured_entries(batch)
-            telemetry.tick(stage)
 
         # Opening rung: the floor ranking's head (the floor model's bet).
         rung = min(len(ranked), max(4, 2 * wave_size))
         telemetry.rung(rung)
-        measure(ranked[:rung], "rung")
+        measure(ranked[:rung])
         best = min(entries, key=_entry_order)
 
         # Hill-climb the incumbent's neighborhood until it stops moving.
@@ -989,7 +861,7 @@ class Profiler:
                      and floors[config] <= incumbent]
             if not moves:
                 break
-            measure(moves, "climb")
+            measure(moves)
             improved = min(entries, key=_entry_order)
             if improved.config == best.config:
                 break
@@ -1015,11 +887,10 @@ class Profiler:
             if not wave:
                 continue
             telemetry.certify_wave(len(wave))
-            measure(wave, "certify")
+            measure(wave)
             incumbent = min(entry.runtime for entry in entries)
 
         self._observe_entries(entries)
-        telemetry.done()
         return ProfileResult(
             entries=entries,
             pruned_configs=len(candidates) - len(entries),
@@ -1065,7 +936,6 @@ class Profiler:
             entries = session.map([_measure_task(config)
                                    for config in flat])
         telemetry.measured_entries(entries)
-        telemetry.tick("measure")
         self._observe_entries(entries)
         return entries
 

@@ -7,6 +7,8 @@ errors such as ``TypeError``.
 
 from __future__ import annotations
 
+import functools
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -63,7 +65,17 @@ class ValidationError(ReproError):
         if time is not None:
             parts.append(f"t={time:.9g}s")
         super().__init__(f"{' '.join(parts)} {message}")
+        self.detail = message
         self.invariant = invariant
         self.gpu = gpu
         self.chunk = chunk
         self.time = time
+
+    def __reduce__(self):
+        # Rebuild from the unprefixed message so unpickling (e.g. across
+        # a worker pool) does not prefix it twice; ``__dict__`` carries
+        # any notes and ``sim_time`` along.
+        rebuild = functools.partial(
+            type(self), self.detail, invariant=self.invariant,
+            gpu=self.gpu, chunk=self.chunk, time=self.time)
+        return rebuild, (), self.__dict__

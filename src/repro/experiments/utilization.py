@@ -99,21 +99,6 @@ def fabric_utilization_timeline_from_trace(tracer: Tracer, end_time: float,
     return [sum(values) / len(values) for values in zip(*timelines)]
 
 
-def fabric_utilization_timeline(system: System, end_time: float,
-                                buckets: int) -> List[float]:
-    """Mean per-bucket utilization across the links that carried data.
-
-    Links untouched by the workload (e.g. between idle GPU pairs) are
-    excluded, so the profile reflects how the *used* paths were driven.
-    """
-    active = [link for link in system.fabric.links if link.wire_bytes > 0]
-    if not active:
-        return [0.0] * buckets
-    timelines = [link_utilization_timeline(link, end_time, buckets)
-                 for link in active]
-    return [sum(values) / len(values) for values in zip(*timelines)]
-
-
 def active_window_fraction(series: Sequence[float],
                            threshold: float = 0.02) -> float:
     """Fraction of the run between the first and last active bucket."""

@@ -122,10 +122,6 @@ class FluidShare:
     # Public API
     # ------------------------------------------------------------------
     @property
-    def active_tasks(self) -> Tuple[FluidTask, ...]:
-        return tuple(self._tasks)
-
-    @property
     def total_demand(self) -> float:
         return sum(task.demand for task in self._tasks)
 

@@ -54,7 +54,6 @@ from repro.obs.decisions import (
 from repro.obs.metrics import (
     NULL_METRICS,
     Histogram,
-    HistogramSummary,
     MetricsRegistry,
     series_name,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "suppress",
     "MetricsRegistry",
     "Histogram",
-    "HistogramSummary",
     "NULL_METRICS",
     "series_name",
     "DecisionLog",

@@ -147,10 +147,6 @@ class Histogram:
         }
 
 
-#: Backwards-compatible alias (the pre-quantile name of the type).
-HistogramSummary = Histogram
-
-
 class MetricsRegistry:
     """Counters, gauges, and histograms with labels and phase scoping."""
 

@@ -2,42 +2,29 @@
 
 from repro.sim.engine import Engine
 from repro.sim.events import (
-    PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     AllOf,
-    AnyOf,
     Event,
     Timeout,
 )
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Counter, Request, Resource, Store
-from repro.sim.trace import (
-    NULL_TRACER,
-    CounterStats,
-    IntervalStats,
-    TraceRecord,
-    Tracer,
-)
+from repro.sim.process import Process
+from repro.sim.resources import Request, Resource, Store
+from repro.sim.trace import NULL_TRACER, IntervalStats, TraceRecord, Tracer
 
 __all__ = [
     "Engine",
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
-    "Interrupt",
     "Resource",
     "Request",
     "Store",
-    "Counter",
     "Tracer",
     "TraceRecord",
     "NULL_TRACER",
     "IntervalStats",
-    "CounterStats",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
-    "PRIORITY_LOW",
 ]

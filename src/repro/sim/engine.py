@@ -28,9 +28,9 @@ result:
   :class:`~repro.sim.process.Process` are recycled through free lists
   instead of allocated fresh; recycling happens in :meth:`step` after
   their callbacks have run, so nothing observable changes.
-* **Single-event waits** — ``all_of``/``any_of`` over exactly one event
-  return a :class:`~repro.sim.events._SingleWait` that skips the
-  condition machinery while firing with the identical value.
+* **Single-event waits** — ``all_of`` over exactly one event returns a
+  :class:`~repro.sim.events._SingleWait` that skips the condition
+  machinery while firing with the identical value.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     AllOf,
-    AnyOf,
     Event,
     Timeout,
     _PooledEvent,
@@ -67,8 +66,7 @@ class Engine:
     per event.
     """
 
-    def __init__(self, start_time: float = 0.0,
-                 tracer: Optional[Tracer] = None,
+    def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Any = None,
                  sanitizer: Any = None) -> None:
         if metrics is None:
@@ -77,10 +75,9 @@ class Engine:
         if sanitizer is None:
             from repro.validate.sanitizer import NULL_SANITIZER
             sanitizer = NULL_SANITIZER
-        self._now = start_time
+        self._now = 0.0
         self._heap: List[_HeapEntry] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.sanitizer = sanitizer
@@ -94,11 +91,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event construction helpers
@@ -138,8 +130,8 @@ class Engine:
                       defused: bool) -> Event:
         """A pooled, already-triggered event that schedules ``callback``.
 
-        Backs process start, bounce-after-processed-target, and
-        interrupt wake-ups — all scheduled urgently at the current time.
+        Backs process start and bounce-after-processed-target — both
+        scheduled urgently at the current time.
         Same recycling contract as :meth:`_sleep`.
         """
         pool = self._event_pool
@@ -168,13 +160,6 @@ class Engine:
             return _SingleWait(self, events[0])
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Create an event that fires when any of ``events`` has fired."""
-        events = list(events)
-        if len(events) == 1:
-            return _SingleWait(self, events[0])
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
@@ -187,12 +172,6 @@ class Engine:
             self._heap, (self._now + delay, priority, self._sequence, event))
         self._sequence += 1
         self.events_scheduled += 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._heap:
-            return float("inf")
-        return self._heap[0][0]
 
     def _attach_time(self, exc: BaseException) -> BaseException:
         """Stamp the current simulation time onto a surfacing error.

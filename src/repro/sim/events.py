@@ -22,7 +22,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Scheduling priorities: lower value runs earlier at the same timestamp.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
 
 
 class Event:
@@ -91,10 +90,6 @@ class Event:
         self._triggered = True
         self.engine.schedule(self, delay=0.0, priority=priority)
 
-    def _mark_processed(self) -> None:
-        self._processed = True
-        self.callbacks = None
-
     def __repr__(self) -> str:
         state = "processed" if self._processed else (
             "triggered" if self._triggered else "pending")
@@ -123,7 +118,7 @@ class _PooledTimeout(Timeout):
     Created only through :meth:`Engine._sleep`.  The contract is strict:
     a pooled timeout may be yielded directly by exactly one process (or
     given exactly one callback) and must never be stored, inspected
-    after it fires, or placed into an :class:`AllOf`/:class:`AnyOf` —
+    after it fires, or placed into an :class:`AllOf` —
     the engine reuses the instance as soon as its callbacks have run.
     """
 
@@ -136,7 +131,7 @@ class _PooledEvent(Event):
     """A recyclable already-triggered event for process bookkeeping.
 
     Backs the engine-internal resume events (process start, bounce after
-    a processed target, interrupt wake-ups).  Same contract as
+    a processed target).  Same contract as
     :class:`_PooledTimeout`: single consumer, never retained.
     """
 
@@ -146,10 +141,10 @@ class _PooledEvent(Event):
 
 
 class _SingleWait(Event):
-    """Fast path for ``all_of``/``any_of`` over exactly one event.
+    """Fast path for ``all_of`` over exactly one event.
 
-    Behaviourally identical to :class:`AllOf`/:class:`AnyOf` with a
-    single constituent — fires with ``{event: value}``, propagates the
+    Behaviourally identical to :class:`AllOf` with a single
+    constituent — fires with ``{event: value}``, propagates the
     constituent's failure — but skips the condition machinery (list
     copy, per-event engine check, remaining counter, value scan).
     """
@@ -175,11 +170,10 @@ class _SingleWait(Event):
         self.succeed({event: event._value})
 
 
-class ConditionEvent(Event):
-    """Base class for events that fire based on a set of other events.
+class AllOf(Event):
+    """Fires when every constituent event has fired.
 
-    The condition's value is a dict mapping each *triggered* constituent
-    event to its value, so callers can see which events contributed.
+    The value is a dict mapping each constituent event to its value.
     """
 
     __slots__ = ("_events", "_remaining")
@@ -201,24 +195,6 @@ class ConditionEvent(Event):
                 assert event.callbacks is not None
                 event.callbacks.append(self._on_event)
 
-    def _collect_values(self) -> dict:
-        # Timeouts are *triggered* at creation (they pre-schedule themselves)
-        # but have not *fired* until processed, so filter on processed here.
-        return {
-            event: event.value
-            for event in self._events
-            if event.processed and event.ok
-        }
-
-    def _on_event(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
     def _on_event(self, event: Event) -> None:
         if self.triggered:
             return
@@ -227,18 +203,4 @@ class AllOf(ConditionEvent):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect_values())
-
-
-class AnyOf(ConditionEvent):
-    """Fires when at least one constituent event has fired."""
-
-    __slots__ = ()
-
-    def _on_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self.succeed(self._collect_values())
+            self.succeed({event: event.value for event in self._events})

@@ -6,8 +6,8 @@ with the event's value (or throws the event's exception into it).  When the
 generator returns, the process — itself an event — succeeds with the return
 value, so other processes can wait on it.
 
-The bookkeeping events that drive a process (its start kick-off, the bounce
-used when a yielded event already fired, and interrupt wake-ups) go through
+The bookkeeping events that drive a process (its start kick-off and the
+bounce used when a yielded event already fired) go through
 ``engine._resume_event``, which recycles them from a pool: they are strictly
 single-consumer and invisible outside this module.
 """
@@ -15,7 +15,7 @@ single-consumer and invisible outside this module.
 from __future__ import annotations
 
 import typing
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -24,22 +24,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """An event representing a running generator-based activity."""
 
-    __slots__ = ("_generator", "name", "_waiting_on")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, engine: "Engine", generator: Generator,
                  name: Optional[str] = None) -> None:
@@ -49,7 +37,6 @@ class Process(Event):
         super().__init__(engine)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Kick off the process via an immediately-triggered initialization
         # event so that process start is itself an ordered simulation event.
         engine._resume_event(self._resume, True, None, False)
@@ -59,28 +46,8 @@ class Process(Event):
         """Whether the underlying generator has not yet finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self is self.engine.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting on, then schedule an
-        # immediate resume that throws the interrupt.
-        waited = self._waiting_on
-        if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self.engine._resume_event(self._resume, False, Interrupt(cause), True)
-
     def _resume(self, trigger: Event) -> None:
-        self._waiting_on = None
         engine = self.engine
-        previous = engine._active_process
-        engine._active_process = self
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
@@ -93,8 +60,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
             return
-        finally:
-            engine._active_process = previous
         if not isinstance(target, Event):
             error = SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}")
@@ -109,7 +74,6 @@ class Process(Event):
             ok = target._ok
             engine._resume_event(self._resume, ok, target._value, not ok)
             return
-        self._waiting_on = target
         target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:

@@ -1,21 +1,18 @@
 """Shared-resource primitives built on the event engine.
 
-Three primitives cover everything the simulator needs:
+Two primitives cover everything the simulator needs:
 
 * :class:`Resource` — a counted semaphore with FIFO queuing (SM slots,
   DMA engines, link arbitration).
 * :class:`Store` — an unbounded/bounded FIFO of Python objects with
   blocking ``get`` (work queues between producers and transfer agents).
-* :class:`Counter` — a numeric level with the ability to wait until the
-  level reaches a threshold (models PROACT's atomic readiness counters at
-  the simulation level).
 """
 
 from __future__ import annotations
 
 import typing
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -131,76 +128,3 @@ class Store:
         else:
             self._getters.append(got)
         return got
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking take; returns ``None`` when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._putters:
-            putter, queued = self._putters.popleft()
-            self._items.append(queued)
-            putter.succeed()
-        return item
-
-
-class Counter:
-    """A numeric level that processes can wait on.
-
-    This is the simulation-level analogue of PROACT's in-memory atomic
-    counters: producers ``add``/``sub``; a transfer agent can wait until the
-    level reaches a target.
-    """
-
-    def __init__(self, engine: "Engine", initial: int = 0) -> None:
-        self.engine = engine
-        self._level = initial
-        # (threshold, direction, event): direction +1 waits for >=, -1 for <=
-        self._waiters: List[Tuple[int, int, Event]] = []
-
-    @property
-    def level(self) -> int:
-        return self._level
-
-    def add(self, amount: int = 1) -> int:
-        """Increase the level and wake satisfied waiters."""
-        self._level += amount
-        self._wake()
-        return self._level
-
-    def sub(self, amount: int = 1) -> int:
-        """Decrease the level and wake satisfied waiters."""
-        self._level -= amount
-        self._wake()
-        return self._level
-
-    def wait_at_least(self, threshold: int) -> Event:
-        """Event firing when the level is ``>= threshold``."""
-        event = Event(self.engine)
-        if self._level >= threshold:
-            event.succeed(self._level)
-        else:
-            self._waiters.append((threshold, +1, event))
-        return event
-
-    def wait_at_most(self, threshold: int) -> Event:
-        """Event firing when the level is ``<= threshold``."""
-        event = Event(self.engine)
-        if self._level <= threshold:
-            event.succeed(self._level)
-        else:
-            self._waiters.append((threshold, -1, event))
-        return event
-
-    def _wake(self) -> None:
-        if not self._waiters:
-            return
-        still_waiting: List[Tuple[int, int, Event]] = []
-        for threshold, direction, event in self._waiters:
-            satisfied = (self._level >= threshold if direction > 0
-                         else self._level <= threshold)
-            if satisfied:
-                event.succeed(self._level)
-            else:
-                still_waiting.append((threshold, direction, event))
-        self._waiters = still_waiting

@@ -20,7 +20,6 @@ with one track per lane; channels without a ``gpu{N}.`` prefix (e.g.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -160,19 +159,3 @@ class IntervalStats:
             return 0.0
         return (max(end for _s, end in self.intervals)
                 - min(start for start, _e in self.intervals))
-
-
-class CounterStats:
-    """Simple named accumulators (bytes moved, packets sent, ...)."""
-
-    def __init__(self) -> None:
-        self._values: Dict[str, float] = defaultdict(float)
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._values[name] += amount
-
-    def get(self, name: str) -> float:
-        return self._values.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._values)

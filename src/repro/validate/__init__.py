@@ -26,7 +26,7 @@ from repro.validate.sanitizer import (
     ChunkState,
     ReadinessSanitizer,
 )
-from repro.validate.scope import Validation, active, suppress, validation
+from repro.validate.scope import Validation, active, validation
 
 __all__ = [
     "ChunkState",
@@ -37,7 +37,6 @@ __all__ = [
     "ReadinessSanitizer",
     "Validation",
     "active",
-    "suppress",
     "validation",
 ]
 

@@ -42,6 +42,11 @@ INV_REREGISTERED = "chunk-reregistered-within-phase"
 INV_UNKNOWN_CHUNK = "event-on-unregistered-chunk"
 INV_TIME_REGRESSION = "event-time-regression"
 
+#: The running totals :meth:`ReadinessSanitizer.summary` reports.
+SUMMARY_KEYS: Tuple[str, ...] = (
+    "chunks_checked", "events_checked", "phases_checked",
+    "bytes_injected", "bytes_delivered", "violations")
+
 
 @dataclass
 class ChunkState:
@@ -290,14 +295,7 @@ class ReadinessSanitizer:
 
     def summary(self) -> Dict[str, int]:
         """Counters for CI artifacts and experiment scalars."""
-        return {
-            "chunks_checked": self.chunks_checked,
-            "events_checked": self.events_checked,
-            "phases_checked": self.phases_checked,
-            "bytes_injected": self.bytes_injected,
-            "bytes_delivered": self.bytes_delivered,
-            "violations": self.violations,
-        }
+        return {key: getattr(self, key) for key in SUMMARY_KEYS}
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

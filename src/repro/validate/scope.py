@@ -11,9 +11,9 @@ its own clock, so each gets its own lifecycle state) and a
 :class:`~repro.validate.conservation.ConservationChecker`.
 
 The scope is a :mod:`contextvars` variable, so the runner's worker
-threads each see their own validation (or none).  :func:`suppress` masks
-the ambient scope, the same escape hatch the observation layer gives the
-profiler.
+threads each see their own validation (or none).  Process-pool workers
+validate each task in a scope of their own and the parent folds the
+counters in (:meth:`Validation.fold`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import contextvars
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.validate.sanitizer import ReadinessSanitizer
+from repro.validate.sanitizer import SUMMARY_KEYS, ReadinessSanitizer
 
 
 class Validation:
@@ -30,6 +30,9 @@ class Validation:
 
     def __init__(self) -> None:
         self.sanitizers: List[Tuple[str, ReadinessSanitizer]] = []
+        #: Counters of systems validated elsewhere (pool workers).
+        self._folded = dict.fromkeys(("systems_validated",) + SUMMARY_KEYS,
+                                     0)
 
     def new_sanitizer(self, label: str) -> ReadinessSanitizer:
         """A fresh enabled sanitizer registered under ``label``."""
@@ -37,12 +40,21 @@ class Validation:
         self.sanitizers.append((label, sanitizer))
         return sanitizer
 
+    def fold(self, counters: Dict[str, int]) -> None:
+        """Add another scope's :meth:`summary` into this one."""
+        for key, value in counters.items():
+            self._folded[key] += value
+
     def summary(self) -> Dict[str, int]:
-        """Aggregate counters over every system validated in the scope."""
-        totals: Dict[str, int] = {"systems_validated": len(self.sanitizers)}
+        """Aggregate counters over every system validated in the scope.
+
+        Every counter is present, zero when nothing was validated.
+        """
+        totals = dict(self._folded)
+        totals["systems_validated"] += len(self.sanitizers)
         for _label, sanitizer in self.sanitizers:
             for key, value in sanitizer.summary().items():
-                totals[key] = totals.get(key, 0) + value
+                totals[key] += value
         return totals
 
 
@@ -82,15 +94,5 @@ def validating(scope: Validation) -> Iterator[Validation]:
     token = _ACTIVE.set(scope)
     try:
         yield scope
-    finally:
-        _ACTIVE.reset(token)
-
-
-@contextmanager
-def suppress() -> Iterator[None]:
-    """Mask the ambient validation (systems inside are unchecked)."""
-    token = _ACTIVE.set(None)
-    try:
-        yield
     finally:
         _ACTIVE.reset(token)

@@ -15,7 +15,7 @@ from repro.collectives import (
     PAYLOAD_BUCKETS,
     payload_bucket,
 )
-from repro.core.profiler import ProcessPoolBackend, SerialBackend
+from repro.core.profiler import ExecutorBackend, ProcessPoolBackend
 from repro.errors import CollectiveError
 from repro.hw.platform import PLATFORMS
 from repro.units import KiB, MiB
@@ -62,7 +62,7 @@ def test_tuner_sweeps_full_grid_and_orders_deterministically():
 
 def test_tuner_pick_identical_across_serial_and_process_pool():
     serial = CollectiveTuner(VOLTA, COLL_ALL_REDUCE, chunk_sizes=CHUNKS,
-                             backend=SerialBackend())
+                             backend=ProcessPoolBackend(jobs=1))
     pooled = CollectiveTuner(VOLTA, COLL_ALL_REDUCE, chunk_sizes=CHUNKS,
                              backend=ProcessPoolBackend(jobs=4))
     a = serial.tune(4 * MiB)
@@ -106,17 +106,6 @@ def test_sweep_signature_distinguishes_grids():
     assert base.sweep_signature() != other_coll.sweep_signature()
 
 
-def test_tune_buckets_covers_every_bucket():
-    tuner = CollectiveTuner(VOLTA, COLL_ALL_REDUCE,
-                            chunk_sizes=(256 * KiB,),
-                            algorithms=["ring"])
-    results = tuner.tune_buckets(
-        buckets=(("small", 64 * KiB), ("medium", 4 * MiB)))
-    assert set(results) == {"small", "medium"}
-    for result in results.values():
-        assert result.entries
-
-
 # ---------------------------------------------------------------------------
 # Plan store
 # ---------------------------------------------------------------------------
@@ -146,7 +135,7 @@ def test_plan_store_get_or_tune_caches(tmp_path):
     first = store.get_or_tune(tuner, 4 * MiB)
     assert len(store) == 1
 
-    class ExplodingBackend(SerialBackend):
+    class ExplodingBackend(ExecutorBackend):
         def open_session(self, fn):
             raise AssertionError("cache hit expected; sweep re-ran")
 

@@ -11,11 +11,6 @@ def test_clock_starts_at_zero():
     assert engine.now == 0.0
 
 
-def test_clock_custom_start():
-    engine = Engine(start_time=5.0)
-    assert engine.now == 5.0
-
-
 def test_timeout_advances_clock():
     engine = Engine()
     engine.timeout(2.5)
@@ -38,7 +33,8 @@ def test_run_until_time_stops_exactly():
 
 
 def test_run_until_past_time_rejected():
-    engine = Engine(start_time=10.0)
+    engine = Engine()
+    engine.run(until=10.0)
     with pytest.raises(SimulationError):
         engine.run(until=5.0)
 
@@ -148,16 +144,6 @@ def test_all_of_collects_values():
     assert engine.now == 2.0
 
 
-def test_any_of_fires_on_first():
-    engine = Engine()
-    t1 = engine.timeout(1.0, value="fast")
-    t2 = engine.timeout(5.0, value="slow")
-    either = engine.any_of([t1, t2])
-    result = engine.run(until=either)
-    assert list(result.values()) == ["fast"]
-    assert engine.now == 1.0
-
-
 def test_all_of_empty_fires_immediately():
     engine = Engine()
     both = engine.all_of([])
@@ -177,13 +163,6 @@ def test_schedule_negative_delay_rejected():
     event = Event(engine)
     with pytest.raises(SimulationError):
         engine.schedule(event, delay=-0.1)
-
-
-def test_peek_reports_next_event_time():
-    engine = Engine()
-    assert engine.peek() == float("inf")
-    engine.timeout(7.0)
-    assert engine.peek() == 7.0
 
 
 def test_all_of_fails_when_constituent_fails():
@@ -210,37 +189,27 @@ def test_all_of_fails_when_constituent_fails():
     assert proc.value == "saw: constituent died"
 
 
-def test_any_of_fails_fast_on_failure():
-    engine = Engine()
-
-    def failing(engine):
-        yield engine.timeout(1.0)
-        raise RuntimeError("early failure")
-
-    either = engine.any_of([engine.process(failing(engine)),
-                            engine.timeout(10.0)])
-
-    def waiter(engine, either):
-        try:
-            yield either
-        except RuntimeError:
-            return engine.now
-
-    proc = engine.process(waiter(engine, either))
-    engine.run()
-    assert proc.value == 1.0
-
-
 def test_nested_conditions():
     engine = Engine()
     t1 = engine.timeout(1.0, value="a")
     t2 = engine.timeout(2.0, value="b")
     t3 = engine.timeout(3.0, value="c")
     inner = engine.all_of([t1, t2])
-    outer = engine.any_of([inner, t3])
+    outer = engine.all_of([inner, t3])
     result = engine.run(until=outer)
-    assert engine.now == 2.0
-    assert inner in result
+    assert engine.now == 3.0
+    assert result == {inner: {t1: "a", t2: "b"}, t3: "c"}
+
+
+def test_all_of_over_processed_and_pending_event():
+    engine = Engine()
+    done = engine.timeout(1.0, value="early")
+    engine.run(until=done)
+    pending = engine.timeout(2.0, value="late")
+    both = engine.all_of([done, pending])
+    result = engine.run(until=both)
+    assert engine.now == 3.0
+    assert result == {done: "early", pending: "late"}
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +267,7 @@ def test_sim_time_of_first_raise_is_preserved():
         engine.run()
     exc = err.value
     assert exc.sim_time == 0.5
-    other = Engine(start_time=9.0)
+    other = Engine()
+    other.run(until=9.0)
     other._attach_time(exc)
     assert exc.sim_time == 0.5

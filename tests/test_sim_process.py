@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupt
+from repro.sim import Engine
 
 
 def test_process_return_value():
@@ -115,69 +115,6 @@ def test_non_generator_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
         engine.process(lambda: None)  # type: ignore[arg-type]
-
-
-def test_interrupt_wakes_sleeping_process():
-    engine = Engine()
-
-    def sleeper(engine):
-        try:
-            yield engine.timeout(100.0)
-            return "overslept"
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, engine.now)
-
-    def interrupter(engine, victim):
-        yield engine.timeout(3.0)
-        victim.interrupt(cause="wake up")
-
-    victim = engine.process(sleeper(engine))
-    engine.process(interrupter(engine, victim))
-    engine.run()
-    assert victim.value == ("interrupted", "wake up", 3.0)
-
-
-def test_interrupt_finished_process_rejected():
-    engine = Engine()
-
-    def quick(engine):
-        yield engine.timeout(1.0)
-
-    proc = engine.process(quick(engine))
-    engine.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    engine = Engine()
-    failures = []
-
-    def selfish(engine):
-        yield engine.timeout(0.0)
-        me = engine.active_process
-        try:
-            me.interrupt()
-        except SimulationError:
-            failures.append(True)
-
-    engine.process(selfish(engine))
-    engine.run()
-    assert failures == [True]
-
-
-def test_active_process_tracked():
-    engine = Engine()
-    observed = []
-
-    def body(engine):
-        observed.append(engine.active_process)
-        yield engine.timeout(1.0)
-
-    proc = engine.process(body(engine))
-    engine.run()
-    assert observed == [proc]
-    assert engine.active_process is None
 
 
 def test_many_processes_complete():

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store, and Counter primitives."""
+"""Unit tests for the Resource and Store primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Counter, Engine, Resource, Store
+from repro.sim import Engine, Resource, Store
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +141,6 @@ def test_store_capacity_blocks_put():
     assert ("put", 1, 5.0) in timeline  # blocked until the get
 
 
-def test_store_try_get():
-    engine = Engine()
-    store = Store(engine)
-    assert store.try_get() is None
-    store.put("x")
-    assert store.try_get() == "x"
-    assert store.try_get() is None
-
-
 def test_store_len_and_items():
     engine = Engine()
     store = Store(engine)
@@ -163,63 +154,3 @@ def test_store_invalid_capacity_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
         Store(engine, capacity=0)
-
-
-# ---------------------------------------------------------------------------
-# Counter
-# ---------------------------------------------------------------------------
-
-def test_counter_add_sub():
-    engine = Engine()
-    counter = Counter(engine, initial=5)
-    assert counter.sub(2) == 3
-    assert counter.add(1) == 4
-    assert counter.level == 4
-
-
-def test_counter_wait_at_least():
-    engine = Engine()
-    counter = Counter(engine)
-    woken = []
-
-    def waiter(engine, counter):
-        level = yield counter.wait_at_least(3)
-        woken.append((level, engine.now))
-
-    def producer(engine, counter):
-        for _ in range(3):
-            yield engine.timeout(1.0)
-            counter.add()
-
-    engine.process(waiter(engine, counter))
-    engine.process(producer(engine, counter))
-    engine.run()
-    assert woken == [(3, 3.0)]
-
-
-def test_counter_wait_at_most_models_decrement_to_zero():
-    engine = Engine()
-    counter = Counter(engine, initial=4)  # like 4 CTAs writing one chunk
-    triggered = []
-
-    def transfer_agent(engine, counter):
-        yield counter.wait_at_most(0)
-        triggered.append(engine.now)
-
-    def cta(engine, counter, finish_at):
-        yield engine.timeout(finish_at)
-        counter.sub()
-
-    engine.process(transfer_agent(engine, counter))
-    for finish in (1.0, 2.0, 2.5, 7.0):
-        engine.process(cta(engine, counter, finish))
-    engine.run()
-    assert triggered == [7.0]
-
-
-def test_counter_wait_already_satisfied():
-    engine = Engine()
-    counter = Counter(engine, initial=10)
-    event = counter.wait_at_least(5)
-    assert event.triggered
-    assert event.value == 10

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import NULL_TRACER, CounterStats, IntervalStats, Tracer
+from repro.sim import NULL_TRACER, IntervalStats, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +154,3 @@ def test_interval_stats_utilization():
     assert stats.utilization(1.0) == 1.0   # clamped
     assert stats.utilization(0.0) == 0.0
     assert IntervalStats().utilization(5.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# CounterStats
-# ---------------------------------------------------------------------------
-
-def test_counter_stats_accumulate():
-    stats = CounterStats()
-    stats.add("bytes", 100)
-    stats.add("bytes", 50)
-    stats.add("packets")
-    assert stats.get("bytes") == 150
-    assert stats.get("packets") == 1
-    assert stats.get("missing") == 0
-    assert stats.as_dict() == {"bytes": 150, "packets": 1}

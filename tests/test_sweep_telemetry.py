@@ -7,15 +7,13 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 * ``capture(sweeps=True)`` adds per-worker activity lanes, a typed
   decision log whose measure+prune counts equal the grid size, and
   sweep latency histograms — while the sweep's *results* stay
-  byte-identical to an untelemetered run;
-* live progress (``Profiler(progress=...)``) works with or without any
-  capture.
+  byte-identical to an untelemetered run.
 """
 
 import pytest
 
 from repro.core import Profiler
-from repro.core.profiler import ProcessPoolBackend, SweepProgress
+from repro.core.profiler import ProcessPoolBackend
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -156,52 +154,11 @@ def test_parallel_sweep_telemetry_worker_lanes_and_identity():
 
 
 # ---------------------------------------------------------------------------
-# Live progress
+# Telemetry off
 # ---------------------------------------------------------------------------
 
-def test_progress_callback_without_capture():
-    snapshots = []
-    profiler = _profiler(search="search", progress=snapshots.append)
-    result = profiler.profile(_builder())
-
-    assert snapshots, "progress sink never called"
-    assert all(isinstance(snapshot, SweepProgress)
-               for snapshot in snapshots)
-    final = snapshots[-1]
-    assert final.stage == "done"
-    assert final.total_configs == GRID
-    assert final.decided == GRID
-    assert final.measured == len(result.entries)
-    assert final.pruned == result.pruned_configs
-    assert final.prune_rate == pytest.approx(
-        result.pruned_configs / GRID)
-    assert final.configs_per_s > 0
-    # Without capture(sweeps=True) there is no worker busy accounting.
-    assert final.worker_utilization is None
-    assert "configs" in final.render()
-
-
-def test_progress_with_sweep_capture_reports_utilization():
-    snapshots = []
-    with capture(sweeps=True):
-        _profiler(search="exhaustive",
-                  progress=snapshots.append).profile(_builder())
-    final = snapshots[-1]
-    assert final.worker_utilization is not None
-    assert 0.0 < final.worker_utilization <= 1.0
-    assert final.eta_s == pytest.approx(0.0)
-
-
-def test_progress_true_writes_stderr(capsys):
-    profiler = _profiler(progress=True)
-    profiler.profile(_builder())
-    err = capsys.readouterr().err
-    assert "[profile 4x_volta]" in err
-    assert "done:" in err
-
-
 def test_telemetry_off_has_no_side_channels():
-    """No capture, no progress: the sweep records nothing anywhere."""
+    """Without capture the sweep records nothing anywhere."""
     result = _profiler(search="exhaustive").profile(_builder())
     assert result.entries  # sanity
 

@@ -7,8 +7,11 @@ and check the sanitizer catches the consequence with the chunk id, GPU,
 and simulation time attached).
 """
 
+import pickle
+
 import pytest
 
+from repro.api import Session
 from repro.core import ContiguousMapping, ProactConfig, ReadinessTracker
 from repro.core.config import MECH_POLLING
 from repro.errors import ValidationError
@@ -17,6 +20,7 @@ from repro.units import KiB, MiB
 from repro.validate import (
     NULL_SANITIZER,
     ReadinessSanitizer,
+    Validation,
     validation,
 )
 from repro.validate.sanitizer import (
@@ -31,6 +35,7 @@ from repro.validate.sanitizer import (
     INV_TRANSFER_BEFORE_READY,
     INV_UNKNOWN_CHUNK,
 )
+from repro.workloads import JacobiWorkload
 from tests.conftest import one_producer_phase, run_phase, volta_system
 
 
@@ -289,3 +294,41 @@ def test_validation_error_formats_structured_fields():
     assert str(error) == "[some-invariant] gpu=3 chunk=17 t=0.25s boom"
     assert error.invariant == "some-invariant"
     assert (error.gpu, error.chunk, error.time) == (3, 17, 0.25)
+
+
+def test_validation_error_survives_pickling():
+    error = ValidationError("boom", invariant="conservation", gpu=1,
+                            chunk=2, time=0.5)
+    clone = pickle.loads(pickle.dumps(error))
+    assert str(clone) == "[conservation] gpu=1 chunk=2 t=0.5s boom"
+    assert (clone.invariant, clone.gpu, clone.chunk, clone.time) == (
+        "conservation", 1, 2, 0.5)
+
+
+def test_empty_validation_summary_reports_every_counter():
+    assert Validation().summary() == {
+        "systems_validated": 0, "chunks_checked": 0, "events_checked": 0,
+        "phases_checked": 0, "bytes_injected": 0, "bytes_delivered": 0,
+        "violations": 0}
+
+
+def _validated_sweep(entry, jobs):
+    session = Session("4x_volta", validate=True)
+    if entry == "profile":
+        session.profile(JacobiWorkload(num_unknowns=200_000),
+                        strategy="exhaustive",
+                        chunk_sizes=(64 * KiB, 1 * MiB),
+                        thread_counts=(2048,), jobs=jobs)
+    else:
+        session.plan_collective("all_reduce", 1 << 20,
+                                chunk_sizes=(256 * KiB, 1 * MiB), jobs=jobs)
+    return session.validation_summary()
+
+
+@pytest.mark.parametrize("entry", ["profile", "plan_collective"])
+def test_pool_sweep_validates_like_a_serial_sweep(entry):
+    # Pool workers never see the parent's scope; their counters must
+    # still reach it, so both backends report the same summary.
+    serial = _validated_sweep(entry, jobs=None)
+    assert serial["systems_validated"] > 0
+    assert _validated_sweep(entry, jobs=2) == serial
