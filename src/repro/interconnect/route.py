@@ -9,13 +9,29 @@ the slowest hop, but faster hops stay free for other flows — exactly how
 a transfer agent's thread-pool "throttle" can feed several destination
 links concurrently.  Delivery latency is paid once, after the final
 quantum.
+
+No process runs a transfer.  Each one is a small :class:`_Flow` record
+that counts, per hop, how many quanta have cleared it; the links serve
+the quanta (see :class:`~repro.interconnect.link.Link`).  When quantum
+*k* clears hop *h*, the link's callback accounts the busy interval,
+hands the link to the head of its queue, then the flow offers quantum
+*k* to hop *h+1* (if quantum *k-1* has cleared it) and quantum *k+1* to
+hop *h* (if it has cleared hop *h-1*).  The second offer queues behind
+everything already due at that instant: when another event is due at
+the same time, it waits for one zero-delay engine event, so a quantum
+arriving from upstream at that instant goes first.  That order is part
+of the model: it fixes which quantum joins a link's queue first when
+several clear at one instant, so equal flows on a link interleave
+round-robin by quantum.  A transfer of *n* quanta over *h* hops costs
+*n·h* engine events plus one for completion, one for latency, and one
+per such simultaneous hand-off.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interconnect.link import Link
@@ -23,6 +39,17 @@ from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
+
+#: Per hop: ``(quantum bytes, wire bytes, service seconds)``.
+_Plan = Tuple[Tuple[int, int, float], ...]
+
+
+def check_transfer(payload_bytes: int, access_size: int) -> None:
+    """Reject a transfer no route flavour can carry."""
+    if payload_bytes < 0:
+        raise ConfigurationError(f"negative payload: {payload_bytes}")
+    if access_size < 1:
+        raise ConfigurationError(f"access size must be >= 1: {access_size}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +84,10 @@ class Route:
         self.links = tuple(links)
         self.latency = latency
         self._quantum = min(link.quantum for link in self.links)
-        self._xfer_name = f"xfer:{src}->{dst}"
-        self._quantum_name = f"quantum:{src}->{dst}"
-        # access_size -> per-hop (wire, service) plan for a full quantum;
-        # every quantum except a possible tail is exactly ``_quantum``
-        # bytes, so the per-hop framing and service time repeat verbatim.
+        # access_size -> (plan, widest hop's wire bytes) for a full
+        # quantum; every quantum except a possible tail is exactly
+        # ``_quantum`` bytes, so the per-hop framing and service time
+        # repeat verbatim.
         self._full_plan_memo: dict = {}
 
     @property
@@ -72,20 +98,33 @@ class Route:
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
         """Send ``payload_bytes`` issued as ``access_size``-byte accesses.
 
-        Returns the completion event of a new process; its value is a
-        :class:`TransferReceipt`.
+        Returns an event that fires with a :class:`TransferReceipt` once
+        the last quantum has crossed every hop and the latency is paid.
         """
-        if payload_bytes < 0:
-            raise ConfigurationError(f"negative payload: {payload_bytes}")
-        if access_size < 1:
-            raise ConfigurationError(f"access size must be >= 1: {access_size}")
-        return self.engine.process(
-            self._transfer(payload_bytes, access_size),
-            name=self._xfer_name,
-        )
+        check_transfer(payload_bytes, access_size)
+        if payload_bytes == 0:
+            return self._instant(payload_bytes, access_size)
+        full_quanta, tail = divmod(payload_bytes, self._quantum)
+        full_plan = tail_plan = None
+        wire = 0
+        if full_quanta:
+            memo = self._full_plan_memo.get(access_size)
+            if memo is None:
+                plan = self._plan(self._quantum, access_size)
+                memo = self._full_plan_memo[access_size] = (
+                    plan, max(hop[1] for hop in plan))
+            full_plan, full_wire = memo
+            wire = full_quanta * full_wire
+        if tail:
+            tail_plan = self._plan(tail, access_size)
+            wire += max(hop[1] for hop in tail_plan)
+        flow = _Flow(self, payload_bytes, access_size, wire, full_quanta,
+                     full_quanta + (1 if tail else 0), full_plan, tail_plan)
+        self.links[0].offer(flow, 0)
+        return flow.done
 
-    def _hop_plan(self, quantum: int, access_size: int):
-        """Per-hop ``(link, wire, service)`` for one ``quantum``-byte move.
+    def _plan(self, quantum: int, access_size: int) -> _Plan:
+        """Per-hop framing and service time of one ``quantum``-byte move.
 
         Each link frames the quantum with its own protocol overhead (a
         throttle pseudo-link has none; a PCIe link pays headers).
@@ -93,90 +132,110 @@ class Route:
         plan = []
         for link in self.links:
             wire = link.format.message_wire_bytes(quantum, access_size)
-            plan.append((link, wire, link.service_time(wire)))
+            plan.append((quantum, wire, link.service_time(wire)))
         return tuple(plan)
 
-    def _move_quantum(self, quantum: int, plan, gates, dones):
-        """One quantum's journey across every hop, gated by its
-        predecessor quantum so per-hop FIFO order is preserved."""
-        engine = self.engine
-        for hop, (link, wire, service) in enumerate(plan):
-            if gates is not None:
-                yield gates[hop]
-            yield link.arbiter.request()
-            service_start = engine.now
-            yield engine._sleep(service)
-            link.account(service_start, engine.now, quantum, wire)
-            link.arbiter.release()
-            dones[hop].succeed()
+    def _instant(self, payload_bytes: int, access_size: int) -> Event:
+        """A transfer that completes now, moving no wire bytes."""
+        event = Event(self.engine)
+        self._finish(event, payload_bytes, 0, access_size, self.engine.now)
+        return event
 
-    def _transfer(self, payload_bytes: int, access_size: int):
-        engine = self.engine
-        links = self.links
-        start_time = engine.now
-        total_wire = 0
-        remaining = payload_bytes
-        step = self._quantum
-        # The slowest hop's framing and service time for a full quantum,
-        # computed once: all quanta except a possible tail are exactly
-        # ``step`` bytes, so their per-hop plan repeats verbatim.
-        full_plan = self._full_plan_memo.get(access_size)
-        if full_plan is None and remaining >= step:
-            full_plan = self._full_plan_memo[access_size] = (
-                self._hop_plan(step, access_size))
-        step_wire = (max(wire for _link, wire, _svc in full_plan)
-                     if remaining >= step else 0)
-        quantum_name = self._quantum_name
-        # Quanta pipeline across hops: quantum k occupies hop h while
-        # quantum k+1 occupies hop h-1, so a multi-hop route still moves
-        # data at the slowest hop's rate while leaving faster hops free
-        # for other flows.
-        gates = None
-        last_quantum = None
-        while remaining > 0:
-            if remaining >= step:
-                quantum = step
-                plan = full_plan
-                total_wire += step_wire
-            else:
-                quantum = remaining
-                plan = self._hop_plan(quantum, access_size)
-                total_wire += max(wire for _link, wire, _svc in plan)
-            dones = [Event(engine) for _ in links]
-            last_quantum = engine.process(
-                self._move_quantum(quantum, plan, gates, dones),
-                name=quantum_name)
-            gates = dones
-            remaining -= quantum
-        if last_quantum is not None:
-            yield last_quantum
-        if self.latency > 0 and payload_bytes > 0:
-            yield engine._sleep(self.latency)
-        tracer = engine.tracer
+    def _finish(self, done: Event, payload_bytes: int, wire_bytes: int,
+                access_size: int, start_time: float) -> None:
+        """Trace the transfer on the source's lane and fire ``done``."""
+        now = self.engine.now
+        tracer = self.engine.tracer
         if tracer.enabled:
-            tracer.span(start_time, self.engine.now,
+            tracer.span(start_time, now,
                         f"gpu{self.src}.transfer", f"->gpu{self.dst}",
                         payload={"bytes": payload_bytes,
-                                 "wire_bytes": total_wire,
+                                 "wire_bytes": wire_bytes,
                                  "access_size": access_size})
-        return TransferReceipt(
-            src=self.src,
-            dst=self.dst,
-            payload_bytes=payload_bytes,
-            wire_bytes=total_wire,
-            access_size=access_size,
-            start_time=start_time,
-            end_time=self.engine.now,
-        )
+        done.succeed(TransferReceipt(
+            src=self.src, dst=self.dst, payload_bytes=payload_bytes,
+            wire_bytes=wire_bytes, access_size=access_size,
+            start_time=start_time, end_time=now))
+
+
+class _Flow:
+    """One route transfer in flight.
+
+    ``progress[h]`` counts the quanta that have cleared hop ``h``, which
+    is also the index of the quantum hop ``h`` serves or waits for
+    next: a flow's quanta cross every hop in order, so at most one of
+    them is queued at or crossing any one hop.
+    """
+
+    __slots__ = ("route", "payload_bytes", "access_size", "wire_bytes",
+                 "full_quanta", "quanta", "full_plan", "tail_plan",
+                 "progress", "start_time", "done")
+
+    def __init__(self, route: Route, payload_bytes: int, access_size: int,
+                 wire_bytes: int, full_quanta: int, quanta: int,
+                 full_plan: Optional[_Plan],
+                 tail_plan: Optional[_Plan]) -> None:
+        self.route = route
+        self.payload_bytes = payload_bytes
+        self.access_size = access_size
+        self.wire_bytes = wire_bytes
+        self.full_quanta = full_quanta
+        self.quanta = quanta
+        self.full_plan = full_plan
+        self.tail_plan = tail_plan
+        self.progress = [0] * len(route.links)
+        self.start_time = route.engine.now
+        self.done = Event(route.engine)
+
+    def step(self, hop: int) -> Tuple[int, int, float]:
+        """``(quantum, wire, service)`` of the quantum ``hop`` serves."""
+        if self.progress[hop] < self.full_quanta:
+            return self.full_plan[hop]
+        return self.tail_plan[hop]
+
+    def cleared(self, hop: int) -> None:
+        """The next quantum cleared ``hop``: move it, and its successor, on."""
+        progress = self.progress
+        k = progress[hop]
+        progress[hop] = k + 1
+        links = self.route.links
+        if hop + 1 < len(links):
+            if progress[hop + 1] == k:
+                links[hop + 1].offer(self, hop + 1)
+        elif k + 1 == self.quanta:
+            latency = self.route.latency
+            if latency > 0:
+                self.route.engine._sleep(latency).callbacks.append(
+                    self._delivered)
+            else:
+                self._delivered(None)
+        if k + 1 < self.quanta and (hop == 0 or progress[hop - 1] > k + 1):
+            link = links[hop]
+            engine = self.route.engine
+            if engine._due_now():
+                # Behind whatever else is due now (see the module doc).
+                engine._sleep(0.0).callbacks.append(
+                    lambda _event: link.offer(self, hop))
+            else:
+                link.offer(self, hop)
+
+    def _delivered(self, _event) -> None:
+        self.route._finish(self.done, self.payload_bytes, self.wire_bytes,
+                           self.access_size, self.start_time)
 
 
 class LoopbackRoute(Route):
-    """Zero-cost route from a GPU to itself (local 'transfers')."""
+    """Zero-cost route from a GPU to itself (local 'transfers').
+
+    No fabric builds one (``Fabric.send`` handles a self-send); the
+    benchmark's layer trace in ``bench/layers.py`` still names it.
+    """
 
     def __init__(self, engine: "Engine", endpoint: int, fmt_link: Link) -> None:
         super().__init__(engine, endpoint, endpoint, [fmt_link], latency=0.0)
 
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
+        check_transfer(payload_bytes, access_size)
         event = Event(self.engine)
         event.succeed(TransferReceipt(
             src=self.src, dst=self.dst, payload_bytes=payload_bytes,
@@ -189,7 +248,8 @@ class InfiniteRoute(Route):
     """A route with infinite bandwidth and zero latency (limit study).
 
     Used by the *Infinite Interconnect BW* paradigm from Section IV-B:
-    transfers complete instantaneously but are still accounted.
+    transfers complete instantaneously but are still accounted, as a
+    zero-width span on the source GPU's transfer lane.
     """
 
     def __init__(self, engine: "Engine", src: int, dst: int,
@@ -197,20 +257,8 @@ class InfiniteRoute(Route):
         super().__init__(engine, src, dst, [fmt_link], latency=0.0)
 
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
-        event = Event(self.engine)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            # Zero-width span: the transfer is instantaneous but still
-            # visible (and accounted) on the source GPU's transfer lane.
-            tracer.span(self.engine.now, self.engine.now,
-                        f"gpu{self.src}.transfer", f"->gpu{self.dst}",
-                        payload={"bytes": payload_bytes, "wire_bytes": 0,
-                                 "access_size": access_size})
-        event.succeed(TransferReceipt(
-            src=self.src, dst=self.dst, payload_bytes=payload_bytes,
-            wire_bytes=0, access_size=access_size,
-            start_time=self.engine.now, end_time=self.engine.now))
-        return event
+        check_transfer(payload_bytes, access_size)
+        return self._instant(payload_bytes, access_size)
 
 
 def route_between(engine: "Engine", src: int, dst: int, links: Sequence[Link],

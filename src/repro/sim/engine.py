@@ -126,6 +126,11 @@ class Engine:
             return out
         return _PooledTimeout(self, delay)
 
+    def _due_now(self) -> bool:
+        """Whether another event is already due at the current time."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= self._now
+
     def _resume_event(self, callback, ok: bool, value: Any,
                       defused: bool) -> Event:
         """A pooled, already-triggered event that schedules ``callback``.

@@ -20,7 +20,8 @@ with one track per lane; channels without a ``gpu{N}.`` prefix (e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -110,42 +111,66 @@ class Tracer:
 NULL_TRACER = Tracer(enabled=False)
 
 
-@dataclass
 class IntervalStats:
     """Accumulates (start, end) busy intervals, e.g. link occupancy.
 
     Intervals may be appended out of order; :meth:`busy_time` merges
-    overlaps so concurrent transfers are not double counted.  The merge
-    is cached and invalidated by :meth:`add`, so repeated queries (every
-    link, every bucket of a utilization timeline) stay O(1).
+    overlaps so concurrent transfers are not double counted.  An interval
+    that starts inside the last one kept is folded into it on :meth:`add`
+    (a link serving back-to-back quanta stores one interval per busy
+    stretch, not one per quantum); folding never changes the union, so
+    :meth:`merged`, :meth:`busy_time` and :meth:`span` return exactly the
+    floats the unfolded intervals would.  Starts and ends live in two
+    ``array('d')`` columns, and the merge is cached the same way and
+    invalidated by :meth:`add`, so repeated queries (every link, every
+    bucket of a utilization timeline) stay O(1).
     """
 
-    intervals: List[Tuple[float, float]] = field(default_factory=list)
-    _merged: Optional[List[Tuple[float, float]]] = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("_starts", "_ends", "_merged")
+
+    def __init__(self) -> None:
+        self._starts = array("d")
+        self._ends = array("d")
+        self._merged: Optional[Tuple[array, array]] = None
 
     def add(self, start: float, end: float) -> None:
         if end < start:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
-        self.intervals.append((start, end))
         self._merged = None
+        ends = self._ends
+        if ends and self._starts[-1] <= start <= ends[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
+            return
+        self._starts.append(start)
+        ends.append(end)
+
+    @property
+    def intervals(self) -> List[Tuple[float, float]]:
+        """The kept intervals, folded, in insertion order."""
+        return list(zip(self._starts, self._ends))
+
+    def _merged_columns(self) -> Tuple[array, array]:
+        if self._merged is None:
+            starts, ends = array("d"), array("d")
+            for start, end in sorted(zip(self._starts, self._ends)):
+                if ends and start <= ends[-1]:
+                    if end > ends[-1]:
+                        ends[-1] = end
+                else:
+                    starts.append(start)
+                    ends.append(end)
+            self._merged = (starts, ends)
+        return self._merged
 
     def merged(self) -> List[Tuple[float, float]]:
         """The intervals with overlaps coalesced, in time order."""
-        if self._merged is None:
-            merged: List[Tuple[float, float]] = []
-            for start, end in sorted(self.intervals):
-                if merged and start <= merged[-1][1]:
-                    last_start, last_end = merged[-1]
-                    merged[-1] = (last_start, max(last_end, end))
-                else:
-                    merged.append((start, end))
-            self._merged = merged
-        return list(self._merged)
+        return list(zip(*self._merged_columns()))
 
     def busy_time(self) -> float:
         """Total time covered by at least one interval."""
-        return sum(end - start for start, end in self.merged())
+        starts, ends = self._merged_columns()
+        return sum(end - start for start, end in zip(starts, ends))
 
     def utilization(self, span: float) -> float:
         """Fraction of ``span`` seconds covered by at least one interval."""
@@ -155,7 +180,6 @@ class IntervalStats:
 
     def span(self) -> float:
         """Time from the first interval start to the last interval end."""
-        if not self.intervals:
+        if not self._starts:
             return 0.0
-        return (max(end for _s, end in self.intervals)
-                - min(start for start, _e in self.intervals))
+        return max(self._ends) - min(self._starts)

@@ -146,3 +146,100 @@ def test_pcie_format_transfer_uses_pcie_framing():
     route = Route(engine, 0, 1, [link], latency=0.0)
     engine.run(until=route.transfer(4096, access_size=4))
     assert link.wire_bytes == PCIE3_FORMAT.message_wire_bytes(4096, 4)
+
+
+def test_infinite_route_validates_like_every_route():
+    engine = Engine()
+    route = InfiniteRoute(engine, 0, 1, make_link(engine))
+    with pytest.raises(ConfigurationError):
+        route.transfer(-5, access_size=4)
+    with pytest.raises(ConfigurationError):
+        route.transfer(100, access_size=0)
+
+
+# ---------------------------------------------------------------------------
+# The link as a FIFO quantum server
+# ---------------------------------------------------------------------------
+
+Q = 64 * 1024
+
+
+def full_quantum_service(link, access_size=256):
+    return link.service_time(link.format.message_wire_bytes(Q, access_size))
+
+
+def after(*services):
+    """Simulated time after back-to-back services, summed as the engine
+    advances its clock (so equality below is exact)."""
+    now = 0.0
+    for service in services:
+        now += service
+    return now
+
+
+def test_equal_flows_round_robin_by_quantum():
+    engine = Engine()
+    link = make_link(engine, bandwidth=1e9)
+    route = Route(engine, 0, 1, [link], latency=0.0)
+    done_a = route.transfer(4 * Q, access_size=256)
+    done_b = route.transfer(4 * Q, access_size=256)
+    engine.run()
+    s = full_quantum_service(link)
+    assert done_a.value.end_time == after(*[s] * 7)
+    assert done_b.value.end_time == after(*[s] * 8)
+
+
+def two_hop_route(engine):
+    fast = make_link(engine, bandwidth=10e9, name="fast")
+    slow = make_link(engine, bandwidth=1e9, name="slow")
+    return fast, slow, Route(engine, 0, 1, [fast, slow], latency=0.0)
+
+
+def test_quanta_pipeline_across_hops():
+    engine = Engine()
+    fast, slow, route = two_hop_route(engine)
+    receipt = engine.run(until=route.transfer(4 * Q, access_size=256))
+    s_fast, s_slow = full_quantum_service(fast), full_quantum_service(slow)
+    assert receipt.end_time == after(s_fast, *[s_slow] * 4)
+
+
+def test_flow_on_the_fast_hop_only_is_not_held_up_by_the_slow_one():
+    engine = Engine()
+    fast, slow, long_route = two_hop_route(engine)
+    short_route = Route(engine, 0, 2, [fast], latency=0.0)
+    long_done = long_route.transfer(4 * Q, access_size=256)
+    short_done = short_route.transfer(Q, access_size=256)
+    receipt = engine.run(until=short_done)
+    s_fast = full_quantum_service(fast)
+    assert receipt.end_time == after(s_fast, s_fast)
+    assert not long_done.processed
+
+
+def test_simultaneous_arrival_goes_ahead_of_the_next_quantum():
+    """A quantum arriving from upstream at the instant a link frees goes
+    ahead of the next quantum of the flow the link just served: that
+    flow's successor joins the queue only after everything already due
+    at that instant (here, the upstream hop finishing)."""
+    engine = Engine()
+    link = make_link(engine, bandwidth=1e9, name="shared")
+    upstream = make_link(engine, bandwidth=1e9, name="upstream")
+    local = Route(engine, 0, 1, [link], latency=0.0)
+    relayed = Route(engine, 2, 1, [upstream, link], latency=0.0)
+    local_done = local.transfer(2 * Q, access_size=256)
+    relayed_done = relayed.transfer(Q, access_size=256)
+    engine.run()
+    s = full_quantum_service(link)
+    assert relayed_done.value.end_time == after(s, s)
+    assert local_done.value.end_time == after(s, s, s)
+
+
+@pytest.mark.parametrize("quanta,latency,events", [
+    (1, 0.0, 3), (4, 0.0, 9), (4, 1e-6, 10)])
+def test_transfer_fires_one_event_per_quantum_hop(quanta, latency, events):
+    """n quanta over h hops: n*h services, one completion, one latency."""
+    engine = Engine()
+    fast, slow, _ = two_hop_route(engine)
+    route = Route(engine, 0, 1, [fast, slow], latency=latency)
+    route.transfer(quanta * Q, access_size=256)
+    engine.run()
+    assert engine.events_fired == events
