@@ -19,6 +19,7 @@ After an intentional model change, regenerate the snapshot with::
 """
 
 import argparse
+import io
 import json
 import pathlib
 import re
@@ -42,7 +43,7 @@ def capture(names=None, validate=False, jobs=1):
     under ``validate``), since a failed run has no output to compare.
     """
     results = run_all(quick=True, only=names, jobs=jobs,
-                      validate=validate, out=_Discard())
+                      validate=validate, out=io.StringIO())
     errors = [f"{r.name}: {r.error}" for r in results if r.error]
     if errors:
         raise RuntimeError("experiments failed: " + "; ".join(errors))
@@ -51,14 +52,6 @@ def capture(names=None, validate=False, jobs=1):
                  "scalars": dict(r.scalars)}
         for r in results
     }
-
-
-class _Discard:
-    def write(self, _text):
-        return 0
-
-    def flush(self):
-        pass
 
 
 def _cells(line):
