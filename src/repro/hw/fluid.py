@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import typing
+from functools import partial
 from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -210,7 +211,7 @@ class FluidShare:
 
         Re-solves are batched by *fire time*: if the armed wakeup already
         fires at exactly the instant this re-solve wants, it is kept
-        instead of being superseded by a fresh timeout.  Rates were just
+        instead of being superseded by a fresh one.  Rates were just
         recomputed above, so whichever wakeup fires simply credits
         service at the then-current rates — the same work either way.
         """
@@ -232,8 +233,7 @@ class FluidShare:
         gen = self._gen
         self._armed_time = fire
         self._armed_gen = gen
-        wakeup = self.engine._sleep(horizon)
-        wakeup.callbacks.append(lambda _event: self._on_wakeup(gen))
+        self.engine._call(horizon, partial(self._on_wakeup, gen))
 
     def _on_wakeup(self, gen: int) -> None:
         if gen != self._armed_gen:

@@ -4,8 +4,8 @@ A :class:`Link` is one *direction* of a physical connection (GPU→GPU,
 GPU→switch, ...).  It is a FIFO server of service quanta: transfers
 offer it one quantum at a time, so concurrent flows interleave quantum
 by quantum and share bandwidth approximately fairly, the way packet
-interleaving shares a real link.  Serving a quantum is one pooled engine
-timeout whose callback accounts the busy interval, hands the link to
+interleaving shares a real link.  Serving a quantum is one callable
+engine heap entry that accounts the busy interval, hands the link to
 the head of its queue, and tells the quantum's transfer that the hop is
 clear (see :mod:`repro.interconnect.route`).
 
@@ -80,9 +80,9 @@ class Link:
         self._serving_hop = hop
         self._serving_step = step
         self._service_start = engine._now
-        engine._sleep(step[2]).callbacks.append(self._on_served)
+        engine._call(step[2], self._on_served)
 
-    def _served(self, _event) -> None:
+    def _served(self) -> None:
         """One quantum cleared the link: account it, start the next one
         queued, then let its flow move on (see :meth:`_Flow.cleared`)."""
         flow, hop = self._serving, self._serving_hop

@@ -16,15 +16,14 @@ the quanta (see :class:`~repro.interconnect.link.Link`).  When quantum
 *k* clears hop *h*, the link's callback accounts the busy interval,
 hands the link to the head of its queue, then the flow offers quantum
 *k* to hop *h+1* (if quantum *k-1* has cleared it) and quantum *k+1* to
-hop *h* (if it has cleared hop *h-1*).  The second offer queues behind
-everything already due at that instant: when another event is due at
-the same time, it waits for one zero-delay engine event, so a quantum
-arriving from upstream at that instant goes first.  That order is part
-of the model: it fixes which quantum joins a link's queue first when
-several clear at one instant, so equal flows on a link interleave
-round-robin by quantum.  A transfer of *n* quanta over *h* hops costs
-*n·h* engine events plus one for completion, one for latency, and one
-per such simultaneous hand-off.
+hop *h* (if it has cleared hop *h-1*).  That order is part of the
+model: it fixes which quantum joins a link's queue first when several
+clear at one instant.  Equal flows on a link interleave round-robin by
+quantum, and a quantum from upstream whose hop clears at the instant a
+link frees, but later in schedule order, queues behind the next quantum
+of the flow the link just served.  A transfer of *n* quanta over *h*
+hops costs *n·h* engine events plus one for completion and one for
+latency.
 """
 
 from __future__ import annotations
@@ -84,11 +83,11 @@ class Route:
         self.links = tuple(links)
         self.latency = latency
         self._quantum = min(link.quantum for link in self.links)
-        # access_size -> (plan, widest hop's wire bytes) for a full
-        # quantum; every quantum except a possible tail is exactly
-        # ``_quantum`` bytes, so the per-hop framing and service time
-        # repeat verbatim.
-        self._full_plan_memo: dict = {}
+        # (quantum bytes, access_size) -> (plan, widest hop's wire
+        # bytes).  Every quantum except a possible tail is exactly
+        # ``_quantum`` bytes, and tails repeat across transfers of one
+        # size, so the per-hop framing and service time repeat verbatim.
+        self._plan_memo: dict = {}
 
     @property
     def bottleneck_bandwidth(self) -> float:
@@ -108,32 +107,33 @@ class Route:
         full_plan = tail_plan = None
         wire = 0
         if full_quanta:
-            memo = self._full_plan_memo.get(access_size)
-            if memo is None:
-                plan = self._plan(self._quantum, access_size)
-                memo = self._full_plan_memo[access_size] = (
-                    plan, max(hop[1] for hop in plan))
-            full_plan, full_wire = memo
+            full_plan, full_wire = self._plan(self._quantum, access_size)
             wire = full_quanta * full_wire
         if tail:
-            tail_plan = self._plan(tail, access_size)
-            wire += max(hop[1] for hop in tail_plan)
+            tail_plan, tail_wire = self._plan(tail, access_size)
+            wire += tail_wire
         flow = _Flow(self, payload_bytes, access_size, wire, full_quanta,
                      full_quanta + (1 if tail else 0), full_plan, tail_plan)
         self.links[0].offer(flow, 0)
         return flow.done
 
-    def _plan(self, quantum: int, access_size: int) -> _Plan:
-        """Per-hop framing and service time of one ``quantum``-byte move.
+    def _plan(self, quantum: int, access_size: int) -> Tuple[_Plan, int]:
+        """Per-hop framing and service time of one ``quantum``-byte move,
+        and the widest hop's wire bytes; memoized per route.
 
         Each link frames the quantum with its own protocol overhead (a
         throttle pseudo-link has none; a PCIe link pays headers).
         """
-        plan = []
-        for link in self.links:
-            wire = link.format.message_wire_bytes(quantum, access_size)
-            plan.append((quantum, wire, link.service_time(wire)))
-        return tuple(plan)
+        key = (quantum, access_size)
+        memo = self._plan_memo.get(key)
+        if memo is None:
+            plan = []
+            for link in self.links:
+                wire = link.format.message_wire_bytes(quantum, access_size)
+                plan.append((quantum, wire, link.service_time(wire)))
+            memo = self._plan_memo[key] = (
+                tuple(plan), max(hop[1] for hop in plan))
+        return memo
 
     def _instant(self, payload_bytes: int, access_size: int) -> Event:
         """A transfer that completes now, moving no wire bytes."""
@@ -205,21 +205,13 @@ class _Flow:
         elif k + 1 == self.quanta:
             latency = self.route.latency
             if latency > 0:
-                self.route.engine._sleep(latency).callbacks.append(
-                    self._delivered)
+                self.route.engine._call(latency, self._delivered)
             else:
-                self._delivered(None)
+                self._delivered()
         if k + 1 < self.quanta and (hop == 0 or progress[hop - 1] > k + 1):
-            link = links[hop]
-            engine = self.route.engine
-            if engine._due_now():
-                # Behind whatever else is due now (see the module doc).
-                engine._sleep(0.0).callbacks.append(
-                    lambda _event: link.offer(self, hop))
-            else:
-                link.offer(self, hop)
+            links[hop].offer(self, hop)
 
-    def _delivered(self, _event) -> None:
+    def _delivered(self) -> None:
         self.route._finish(self.done, self.payload_bytes, self.wire_bytes,
                            self.access_size, self.start_time)
 

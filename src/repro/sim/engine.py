@@ -23,11 +23,13 @@ The engine is the inner loop of every sweep the profiler runs, so it is
 written for constant-factor speed without changing a single simulated
 result:
 
-* **Pooled internal events** — timeouts yielded by engine-internal hot
-  paths (:meth:`_sleep`) and the per-resume bookkeeping events of
-  :class:`~repro.sim.process.Process` are recycled through free lists
-  instead of allocated fresh; recycling happens in :meth:`step` after
-  their callbacks have run, so nothing observable changes.
+* **Callable heap entries** — the engine's own waits (a link serving a
+  quantum, a route's delivery latency, a fluid wakeup, a process's
+  start, bounce and :meth:`_sleep`) put a plain callable on the heap
+  instead of an :class:`~repro.sim.events.Event`.  An entry
+  ``(time, priority, seq, fn)`` runs ``fn()`` under the same ordering
+  key, sequence numbering and ``events_fired`` count an event would
+  have, so only the event object and its callback list are saved.
 * **Single-event waits** — ``all_of`` over exactly one event returns a
   :class:`~repro.sim.events._SingleWait` that skips the condition
   machinery while firing with the identical value.
@@ -36,23 +38,22 @@ result:
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Generator, Iterable, List, Optional,
+                    Tuple, Union)
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import (
     PRIORITY_NORMAL,
-    PRIORITY_URGENT,
     AllOf,
     Event,
     Timeout,
-    _PooledEvent,
-    _PooledTimeout,
     _SingleWait,
+    _Sleep,
 )
 from repro.sim.process import Process
 from repro.sim.trace import NULL_TRACER, Tracer
 
-_HeapEntry = Tuple[float, int, int, Event]
+_HeapEntry = Tuple[float, int, int, Union[Event, Callable[[], None]]]
 
 
 class Engine:
@@ -83,9 +84,6 @@ class Engine:
         self.sanitizer = sanitizer
         self.events_scheduled = 0
         self.events_fired = 0
-        # Free lists for the engine-internal recyclable event classes.
-        self._timeout_pool: List[_PooledTimeout] = []
-        self._event_pool: List[_PooledEvent] = []
 
     @property
     def now(self) -> float:
@@ -103,56 +101,24 @@ class Engine:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def _sleep(self, delay: float) -> Timeout:
-        """A pooled valueless timeout for engine-internal hot paths.
+    def _sleep(self, delay: float) -> _Sleep:
+        """A wait for engine-internal process code: ``yield engine._sleep(d)``.
 
-        The returned timeout is recycled the moment its callbacks have
-        run, so it must be consumed by exactly one waiter (a direct
-        ``yield`` from a process, or a single appended callback) and
-        never stored, inspected afterwards, or placed in a condition.
-        Public code should use :meth:`timeout`.
+        The process resumes ``delay`` seconds later with ``None``, as
+        after a :meth:`timeout`, but no event exists to wait on: the
+        process schedules its own wake-up.  Yield it directly; public
+        code should use :meth:`timeout`.
         """
-        pool = self._timeout_pool
-        if pool:
-            out = pool.pop()
-            out.callbacks = []
-            out._value = None
-            out._ok = True
-            out._triggered = True
-            out._processed = False
-            out._defused = False
-            out.delay = delay
-            self.schedule(out, delay=delay)
-            return out
-        return _PooledTimeout(self, delay)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        return _Sleep(delay)
 
-    def _due_now(self) -> bool:
-        """Whether another event is already due at the current time."""
-        heap = self._heap
-        return bool(heap) and heap[0][0] <= self._now
-
-    def _resume_event(self, callback, ok: bool, value: Any,
-                      defused: bool) -> Event:
-        """A pooled, already-triggered event that schedules ``callback``.
-
-        Backs process start and bounce-after-processed-target — both
-        scheduled urgently at the current time.
-        Same recycling contract as :meth:`_sleep`.
-        """
-        pool = self._event_pool
-        if pool:
-            out = pool.pop()
-            out.callbacks = [callback]
-        else:
-            out = _PooledEvent(self)
-            out.callbacks.append(callback)
-        out._value = value
-        out._ok = ok
-        out._triggered = True
-        out._processed = False
-        out._defused = defused
-        self.schedule(out, delay=0.0, priority=PRIORITY_URGENT)
-        return out
+    def _call(self, delay: float, fn: Callable[[], None],
+              priority: int = PRIORITY_NORMAL) -> None:
+        """Run ``fn()`` ``delay`` (>= 0) seconds from now, as one heap entry."""
+        _heappush(self._heap, (self._now + delay, priority, self._sequence, fn))
+        self._sequence += 1
+        self.events_scheduled += 1
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
@@ -198,43 +164,39 @@ class Engine:
         return exc
 
     def step(self) -> None:
-        """Process the single next event on the heap."""
+        """Process the single next heap entry: an event or a callable."""
         heap = self._heap
         if not heap:
             raise self._attach_time(
                 DeadlockError(f"no scheduled events remain "
                               f"(t={self._now:.9g}s)"))
-        when, _priority, _seq, event = _heappop(heap)
+        when, _priority, _seq, item = _heappop(heap)
         if when < self._now:
             raise self._attach_time(SimulationError(
                 "event heap corrupted: time went backwards"))
         self._now = when
         self.events_fired += 1
-        callbacks = event.callbacks
-        event._processed = True
-        event.callbacks = None
         try:
+            if not isinstance(item, Event):
+                item()
+                return
+            callbacks = item.callbacks
+            item._processed = True
+            item.callbacks = None
             if callbacks:
                 for callback in callbacks:
-                    callback(event)
+                    callback(item)
             else:
-                ok = event._ok
+                ok = item._ok
                 if ok is None:
                     raise SimulationError("event has not been triggered yet")
-                if not ok and not event._defused:
+                if not ok and not item._defused:
                     # An unhandled failure with nobody waiting must not
                     # pass silently.
-                    raise event._value
+                    raise item._value
         except BaseException as exc:
             self._attach_time(exc)
             raise
-        if event._recycle:
-            # Engine-internal single-consumer event: its callbacks have
-            # run and nobody may look at it again — reuse the instance.
-            if type(event) is _PooledTimeout:
-                self._timeout_pool.append(event)
-            else:
-                self._event_pool.append(event)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.

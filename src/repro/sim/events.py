@@ -30,11 +30,6 @@ class Event:
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered",
                  "_processed", "_defused")
 
-    #: Class-level recycling flag.  Only the engine-internal pooled
-    #: subclasses below override it; the engine returns such instances to
-    #: a free list right after their callbacks have run.
-    _recycle = False
-
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -112,32 +107,15 @@ class Timeout(Event):
         engine.schedule(self, delay=delay, priority=PRIORITY_NORMAL)
 
 
-class _PooledTimeout(Timeout):
-    """A recyclable :class:`Timeout` for engine-internal waits.
+class _Sleep(float):
+    """A process's request to wait this many seconds (``Engine._sleep``).
 
-    Created only through :meth:`Engine._sleep`.  The contract is strict:
-    a pooled timeout may be yielded directly by exactly one process (or
-    given exactly one callback) and must never be stored, inspected
-    after it fires, or placed into an :class:`AllOf` —
-    the engine reuses the instance as soon as its callbacks have run.
+    Not an event: :class:`~repro.sim.process.Process` schedules its own
+    wake-up as a callable heap entry when one is yielded, so the wait
+    costs no :class:`Event` and no callback list.
     """
 
     __slots__ = ()
-
-    _recycle = True
-
-
-class _PooledEvent(Event):
-    """A recyclable already-triggered event for process bookkeeping.
-
-    Backs the engine-internal resume events (process start, bounce after
-    a processed target).  Same contract as
-    :class:`_PooledTimeout`: single consumer, never retained.
-    """
-
-    __slots__ = ()
-
-    _recycle = True
 
 
 class _SingleWait(Event):

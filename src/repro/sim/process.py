@@ -6,22 +6,34 @@ with the event's value (or throws the event's exception into it).  When the
 generator returns, the process — itself an event — succeeds with the return
 value, so other processes can wait on it.
 
-The bookkeeping events that drive a process (its start kick-off and the
-bounce used when a yielded event already fired) go through
-``engine._resume_event``, which recycles them from a pool: they are strictly
-single-consumer and invisible outside this module.
+A process's start, the bounce when a yielded event has already fired,
+and the wake-up after a ``yield engine._sleep(d)`` are callable heap
+entries (``Engine._call``) that run :meth:`Process._resume` directly,
+with no event in between.  Start and bounce are urgent: they run ahead
+of normal-priority entries due at the same instant.
 """
 
 from __future__ import annotations
 
 import typing
+from functools import partial
 from typing import Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PRIORITY_URGENT, Event, _Sleep
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
+
+
+class _Wake:
+    """The trigger of a start or a sleep's end: resume with ``None``."""
+
+    _ok = True
+    _value = None
+
+
+_WAKE = _Wake()
 
 
 class Process(Event):
@@ -37,16 +49,15 @@ class Process(Event):
         super().__init__(engine)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process via an immediately-triggered initialization
-        # event so that process start is itself an ordered simulation event.
-        engine._resume_event(self._resume, True, None, False)
+        # Process start is itself an ordered simulation step.
+        engine._call(0.0, self._resume, PRIORITY_URGENT)
 
     @property
     def is_alive(self) -> bool:
         """Whether the underlying generator has not yet finished."""
         return not self.triggered
 
-    def _resume(self, trigger: Event) -> None:
+    def _resume(self, trigger: Event = _WAKE) -> None:
         engine = self.engine
         try:
             if trigger._ok:
@@ -60,19 +71,23 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
             return
+        if target.__class__ is _Sleep:
+            engine._call(target, self._resume)
+            return
         if not isinstance(target, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}")
             # Throw the error back into the generator so the traceback
             # points at the offending yield.
-            engine._resume_event(self._resume, False, error, True)
+            error = Event(engine)
+            error.callbacks.append(self._resume)
+            error.fail(SimulationError(
+                f"process {self.name!r} yielded non-event {target!r}"),
+                priority=PRIORITY_URGENT)
             return
         if target.engine is not engine:
             raise SimulationError("process yielded an event from another engine")
         if target._processed:
             # Already fired: resume immediately (same timestamp).
-            ok = target._ok
-            engine._resume_event(self._resume, ok, target._value, not ok)
+            engine._call(0.0, partial(self._resume, target), PRIORITY_URGENT)
             return
         target.callbacks.append(self._resume)
 

@@ -34,6 +34,9 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_quick.json"
 CHEAP = ("table1", "fig1", "fig2", "utilization", "cluster")
 
 _CELL_GAP = re.compile(r"\s{2,}")
+#: A numeric table cell: a number, optionally with an ``x`` or ``%`` unit.
+_NUMERIC_CELL = re.compile(
+    r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)([x%]?)")
 
 
 def capture(names=None, validate=False, jobs=1):
@@ -58,6 +61,24 @@ def _cells(line):
     return _CELL_GAP.split(line.strip())
 
 
+def _number(value):
+    """``(number, unit)`` of a numeric cell or scalar, else ``None``."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return float(value), ""
+    match = _NUMERIC_CELL.fullmatch(value) if isinstance(value, str) else None
+    return (float(match.group(1)), match.group(2)) if match else None
+
+
+def relative(expected, actual):
+    """`` (rel -4.2e-04)`` for two numbers in one unit, else ``""``."""
+    want, got = _number(expected), _number(actual)
+    if want is None or got is None or want[1] != got[1] or want[0] == 0:
+        return ""
+    return f" (rel {(got[0] - want[0]) / abs(want[0]):+.1e})"
+
+
 def _table_diff(where, expected, actual):
     lines = []
     header = _cells(expected[1]) if len(expected) > 1 else []
@@ -72,7 +93,7 @@ def _table_diff(where, expected, actual):
             if w != g:
                 name = header[col] if col < len(header) else f"col {col}"
                 lines.append(f"{where} row {row - 3} [{want_cells[0]}] "
-                             f"{name}: expected {w}, got {g}")
+                             f"{name}: expected {w}, got {g}{relative(w, g)}")
     if len(expected) != len(actual):
         lines.append(f"{where}: expected {len(expected)} lines, "
                      f"got {len(actual)}")
@@ -99,7 +120,8 @@ def diff(expected, actual):
             w = want["scalars"].get(key)
             g = got["scalars"].get(key)
             if w != g:
-                lines.append(f"{name} scalar {key}: expected {w!r}, got {g!r}")
+                lines.append(f"{name} scalar {key}: expected {w!r}, "
+                             f"got {g!r}{relative(w, g)}")
     return sorted(lines)
 
 
@@ -132,10 +154,24 @@ def test_diff_reports_each_cell():
     golden = {"e": {"tables": [table], "scalars": {"s": 1.0}}}
     run = {"e": {"tables": [changed], "scalars": {"s": 1.5}}}
     assert diff(golden, run) == [
-        "e scalar s: expected 1.0, got 1.5",
-        "e table 0 ('Title') row 0 [x] b: expected 2, got 3",
+        "e scalar s: expected 1.0, got 1.5 (rel +5.0e-01)",
+        "e table 0 ('Title') row 0 [x] b: expected 2, got 3 (rel +5.0e-01)",
     ]
     assert diff(golden, golden) == []
+
+
+def test_relative_change_of_numeric_cells_and_scalars():
+    assert relative(-0.05731290294768587, -0.05733676399992682) == (
+        " (rel -4.2e-04)")
+    assert relative(2.0, 1.5) == " (rel -2.5e-01)"
+    assert relative("1.128x", "1.140x") == " (rel +1.1e-02)"
+    assert relative("+12.0%", "+15.0%") == " (rel +2.5e-01)"
+    assert relative(4, 6) == " (rel +5.0e-01)"
+    # No relative change without two numbers in one unit, or from zero.
+    for expected, actual in [("1.0x", "1.0%"), ("HOLD", "I"), (0.0, 1.0),
+                             ("0", "1"), (True, False), (None, 1.0),
+                             (1.0, None), ("D 64kB", "D 1MB")]:
+        assert relative(expected, actual) == "", (expected, actual)
 
 
 def main(argv=None):

@@ -215,22 +215,25 @@ def test_flow_on_the_fast_hop_only_is_not_held_up_by_the_slow_one():
     assert not long_done.processed
 
 
-def test_simultaneous_arrival_goes_ahead_of_the_next_quantum():
-    """A quantum arriving from upstream at the instant a link frees goes
-    ahead of the next quantum of the flow the link just served: that
-    flow's successor joins the queue only after everything already due
-    at that instant (here, the upstream hop finishing)."""
+def test_flow_just_served_keeps_the_link_over_a_simultaneous_arrival():
+    """When a link clears a flow's quantum, that flow offers its next
+    quantum at once, so a quantum arriving from upstream at the same
+    instant queues behind it; round-robin by quantum resumes after.
+    The shared link serves local 0, local 1, relayed 0, local 2,
+    relayed 1, local 3."""
     engine = Engine()
     link = make_link(engine, bandwidth=1e9, name="shared")
     upstream = make_link(engine, bandwidth=1e9, name="upstream")
     local = Route(engine, 0, 1, [link], latency=0.0)
     relayed = Route(engine, 2, 1, [upstream, link], latency=0.0)
-    local_done = local.transfer(2 * Q, access_size=256)
-    relayed_done = relayed.transfer(Q, access_size=256)
+    local_done = local.transfer(4 * Q, access_size=256)
+    relayed_done = relayed.transfer(2 * Q, access_size=256)
     engine.run()
     s = full_quantum_service(link)
-    assert relayed_done.value.end_time == after(s, s)
-    assert local_done.value.end_time == after(s, s, s)
+    assert relayed_done.value.end_time == after(*[s] * 5)
+    assert local_done.value.end_time == after(*[s] * 6)
+    # One event per quantum-hop and one per completion: no hand-offs.
+    assert engine.events_fired == 4 * 1 + 2 * 2 + 2
 
 
 @pytest.mark.parametrize("quanta,latency,events", [

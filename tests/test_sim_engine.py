@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Engine, Event
+from repro.sim.events import PRIORITY_URGENT
 
 
 def test_clock_starts_at_zero():
@@ -271,3 +272,83 @@ def test_sim_time_of_first_raise_is_preserved():
     other.run(until=9.0)
     other._attach_time(exc)
     assert exc.sim_time == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Callable heap entries: the engine's own waits, beside events
+# ---------------------------------------------------------------------------
+
+def test_callable_and_event_due_together_run_in_priority_then_sequence_order():
+    engine = Engine()
+    fired = []
+    first = engine.timeout(1.0)
+    first.callbacks.append(lambda _event: fired.append("event 1"))
+    engine._call(1.0, lambda: fired.append("callable 2"))
+    second = engine.timeout(1.0)
+    second.callbacks.append(lambda _event: fired.append("event 3"))
+    engine._call(1.0, lambda: fired.append("callable 4"))
+    engine.run()
+    assert fired == ["event 1", "callable 2", "event 3", "callable 4"]
+
+
+def test_urgent_callable_scheduled_later_runs_first():
+    engine = Engine()
+    fired = []
+    engine.event().succeed().callbacks.append(
+        lambda _event: fired.append("normal event"))
+    engine._call(0.0, lambda: fired.append("normal callable"))
+    engine._call(0.0, lambda: fired.append("urgent callable"),
+                 PRIORITY_URGENT)
+    engine.run()
+    assert fired == ["urgent callable", "normal event", "normal callable"]
+
+
+def test_every_run_mode_dispatches_and_counts_callables():
+    engine = Engine()
+    fired = []
+    for when in (1.0, 2.0, 3.0, 4.0):
+        engine._call(when, lambda when=when: fired.append(when))
+    engine.step()
+    assert (fired, engine.now, engine.events_fired) == ([1.0], 1.0, 1)
+    engine.run(until=2.5)
+    assert (fired, engine.events_fired) == ([1.0, 2.0], 2)
+    marker = engine.timeout(0.5)  # due at 3.0, after the callable
+    engine.run(until=marker)
+    assert (fired, engine.events_fired) == ([1.0, 2.0, 3.0], 4)
+    engine.run()
+    assert (fired, engine.now, engine.events_fired) == (
+        [1.0, 2.0, 3.0, 4.0], 4.0, 5)
+    assert engine.events_scheduled == 5
+
+
+def test_callable_raising_carries_sim_time():
+    engine = Engine()
+
+    def crash():
+        raise RuntimeError("link fault")
+
+    engine._call(0.75, crash)
+    with pytest.raises(RuntimeError, match="link fault") as err:
+        engine.run()
+    assert err.value.sim_time == 0.75
+    assert "t=0.75s" in "".join(getattr(err.value, "__notes__", []))
+
+
+def test_process_sleep_resumes_after_the_delay_with_none():
+    engine = Engine()
+    woke = []
+
+    def sleeper(engine):
+        yield engine.timeout(1.0)
+        value = yield engine._sleep(0.5)
+        woke.append((engine.now, value))
+
+    engine.process(sleeper(engine))
+    engine.run()
+    assert woke == [(1.5, None)]
+
+
+def test_process_sleep_rejects_negative_delay():
+    engine = Engine()
+    with pytest.raises(SimulationError):
+        engine._sleep(-1.0)
