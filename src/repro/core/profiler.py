@@ -90,13 +90,11 @@ candidate ends in exactly one ``measure`` or ``prune`` event.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 import os
-import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
+import typing
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -127,6 +125,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.system import System
 from repro.validate.scope import active as active_validation
 from repro.validate.scope import validation
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import concurrent.futures
 
 #: A phase builder produces the application's phases for a given system.
 PhaseBuilder = Callable[[System], List[List[GpuPhaseWork]]]
@@ -278,6 +279,7 @@ def _warm_worker_init(payload: bytes) -> None:
     ``partial(_sweep_task, platform, phase_builder)`` closing over the
     heavyweight state.  After this, only task tuples cross the queue.
     """
+    import pickle
     global _WORKER_FN
     _WORKER_FN = pickle.loads(payload)
 
@@ -350,6 +352,10 @@ class _WarmPoolSession(TaskSession):
     BATCHES_PER_WORKER = 8
 
     def __init__(self, fn: Callable[[Any], Any], jobs: int) -> None:
+        # The pool stack (multiprocessing, pickle) loads only here, so
+        # serial sweeps never import it.
+        import concurrent.futures
+        import pickle
         self.jobs = jobs
         self._validation = active_validation()
         if self._validation is not None:
@@ -360,6 +366,8 @@ class _WarmPoolSession(TaskSession):
                 initargs=(pickle.dumps(fn),)))
 
     def map(self, tasks: Sequence[Any]) -> List[Any]:
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
         if self._pool is None:
             raise ProactError("task session already closed")
         tasks = list(tasks)

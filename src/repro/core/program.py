@@ -23,9 +23,8 @@ this module proves the protocol preserves program semantics.
 
 from __future__ import annotations
 
+import typing
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.mapping import BlockMapping, ContiguousMapping
 from repro.core.region import MappingFactory
@@ -33,6 +32,9 @@ from repro.core.tracker import ReadinessTracker
 from repro.errors import ProactError
 from repro.sim.engine import Engine
 from repro.workloads.shared_memory import ReplicatedArray
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class CtaContext:
@@ -65,6 +67,7 @@ class CtaContext:
         PROACT requires a deterministic, mapping-respecting store
         pattern (Section III-B).
         """
+        import numpy as np
         values = np.asarray(values)
         stop = start + len(values)
         if start < 0 or stop > self._ds.num_elements:
@@ -97,7 +100,7 @@ class ProactDataStructure:
     def __init__(self, num_elements: int, num_gpus: int,
                  chunk_elements: int,
                  mapping_factory: MappingFactory = ContiguousMapping,
-                 dtype=np.float64) -> None:
+                 dtype=float) -> None:
         if num_elements < 1:
             raise ProactError(f"region needs >= 1 element: {num_elements}")
         if chunk_elements < 1:
@@ -215,6 +218,7 @@ class ProactDataStructure:
     # ------------------------------------------------------------------
     def is_chunk_visible_at(self, peer: int, gpu: int, chunk: int) -> bool:
         """Whether ``peer`` already sees ``gpu``'s data for ``chunk``."""
+        import numpy as np
         start, stop = self.chunk_bounds(chunk)
         return bool(np.array_equal(self.region.local(peer)[start:stop],
                                    self.region.local(gpu)[start:stop]))

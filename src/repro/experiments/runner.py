@@ -48,7 +48,6 @@ and in the run-level ``suite_failures`` list.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import pathlib
 import sys
@@ -113,6 +112,7 @@ def _run_parallel(names: Sequence[str], ctx: ExperimentContext,
     *and all its predecessors* have finished, so the text output matches
     the serial runner's ordering exactly.
     """
+    import concurrent.futures
     workers = min(jobs, len(names))
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers) as pool:

@@ -174,11 +174,11 @@ class AllOf(Event):
                 event.callbacks.append(self._on_event)
 
     def _on_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed({event: event.value for event in self._events})
+            self.succeed({event: event._value for event in self._events})

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
 from repro.runtime.system import System
@@ -109,6 +107,7 @@ class AlsWorkload(Workload):
                           num_ratings: int = 2500, factors: int = 4,
                           iterations: int = 6,
                           tolerance: float = 1e-9) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         data = rating_matrix(num_users, num_items, num_ratings,
                              rank=factors, seed=41)
@@ -127,6 +126,7 @@ class AlsWorkload(Workload):
 def _als_partitioned(data, num_users, num_items, factors, iterations,
                      num_partitions):
     """Alternating ridge solves over PROACT-style replicated factors."""
+    import numpy as np
     user_ids, item_ids, ratings = data
     rng = np.random.default_rng(43)
     initial_users = rng.normal(scale=0.1, size=(num_users, factors))

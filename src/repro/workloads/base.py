@@ -9,6 +9,9 @@ in two coupled layers:
   functional analogue of PROACT's 1:1 replicated regions).  Each workload
   verifies its multi-GPU result against a single-device reference,
   proving the shared-memory semantics carry the algorithm correctly.
+  NumPy and SciPy are imported inside the functions that compute on
+  data, so they load only when a functional check runs; importing a
+  workload or simulating it never loads them.
 * a **timing layer** — a :class:`~repro.core.profiler.PhaseBuilder`
   producing per-phase, per-GPU :class:`~repro.core.runtime.GpuPhaseWork`
   (FLOPs, memory traffic, CTA counts, region bytes, write-locality

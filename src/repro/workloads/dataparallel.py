@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.runtime import GpuPhaseWork
 from repro.errors import WorkloadError
 from repro.runtime.kernels import KernelSpec
@@ -152,6 +150,7 @@ class DataParallelTraining(Workload):
         arithmetic) must reproduce the single-device full-batch gradient
         exactly up to floating-point association.
         """
+        import numpy as np
         self._check_partitions(num_partitions)
         rng = np.random.default_rng(20210614)
         features = rng.standard_normal((num_samples, num_features))

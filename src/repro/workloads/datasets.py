@@ -11,12 +11,14 @@ All generators are deterministic given their seed.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from repro.errors import WorkloadError
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,7 @@ class CsrGraph:
         return len(self.indices)
 
     def out_degree(self) -> np.ndarray:
+        import numpy as np
         return np.diff(self.indptr)
 
 
@@ -46,6 +49,7 @@ def power_law_graph(num_vertices: int, avg_degree: float = 8.0,
     vertices with probability proportional to weight, giving the heavy
     tail of real link graphs like Wikipedia's.
     """
+    import numpy as np
     if num_vertices < 2:
         raise WorkloadError(f"need >= 2 vertices: {num_vertices}")
     if avg_degree <= 0:
@@ -70,6 +74,7 @@ def road_like_graph(num_vertices: int, seed: int = 11) -> CsrGraph:
     an occasional random long edge, mimicking sparse near-planar
     connectivity.
     """
+    import numpy as np
     if num_vertices < 3:
         raise WorkloadError(f"need >= 3 vertices: {num_vertices}")
     rng = np.random.default_rng(seed)
@@ -99,6 +104,7 @@ def banded_matrix(size: int, bandwidth: int, seed: int = 13,
     ``i`` holds the diagonal at ``offsets[i]``; guaranteed diagonally
     dominant so the Jacobi iteration converges.
     """
+    import numpy as np
     if size < 1:
         raise WorkloadError(f"matrix size must be >= 1: {size}")
     if bandwidth < 0 or bandwidth >= size:
@@ -123,6 +129,7 @@ def rating_matrix(num_users: int, num_items: int, num_ratings: int,
     planted rank-``rank`` model plus noise, so factorization recovers a
     meaningful fit.
     """
+    import numpy as np
     if num_users < 1 or num_items < 1:
         raise WorkloadError("need >= 1 user and item")
     if num_ratings < 1:
@@ -140,6 +147,7 @@ def rating_matrix(num_users: int, num_items: int, num_ratings: int,
 
 def phantom_image(size: int) -> np.ndarray:
     """A simple 2-D CT phantom: nested rectangles of varying density."""
+    import numpy as np
     if size < 8:
         raise WorkloadError(f"phantom must be >= 8 pixels: {size}")
     image = np.zeros((size, size), dtype=np.float64)

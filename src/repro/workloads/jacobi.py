@@ -16,9 +16,8 @@ cost there.
 from __future__ import annotations
 
 import math
+import typing
 from typing import List
-
-import numpy as np
 
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
@@ -33,6 +32,9 @@ from repro.workloads.base import (
 )
 from repro.workloads.datasets import banded_matrix
 from repro.workloads.shared_memory import ReplicatedArray
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class JacobiWorkload(Workload):
@@ -88,6 +90,7 @@ class JacobiWorkload(Workload):
                           size: int = 300, bandwidth: int = 4,
                           iterations: int = 60,
                           tolerance: float = 1e-9) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         diagonals, offsets = banded_matrix(size, bandwidth, seed=47)
         rng = np.random.default_rng(53)
@@ -107,6 +110,7 @@ class JacobiWorkload(Workload):
 
 
 def _densify(diagonals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    import numpy as np
     size = diagonals.shape[1]
     dense = np.zeros((size, size))
     for diag, offset in zip(diagonals, offsets):
@@ -120,6 +124,7 @@ def _densify(diagonals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _apply_offdiagonal(diagonals: np.ndarray, offsets: np.ndarray,
                        x: np.ndarray, start: int, stop: int) -> np.ndarray:
     """(offdiag(A) @ x)[start:stop] for the banded representation."""
+    import numpy as np
     size = diagonals.shape[1]
     result = np.zeros(stop - start)
     rows = np.arange(start, stop)

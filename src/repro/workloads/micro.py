@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
 from repro.runtime.system import System
@@ -95,6 +93,7 @@ class MicroBenchmark(Workload):
                           num_elements: int = 4096,
                           tolerance: float = 0.0) -> FunctionalCheck:
         """Producer fills a region; every consumer must see it all."""
+        import numpy as np
         self._check_partitions(num_partitions)
         data = ReplicatedArray(num_elements, num_gpus=num_partitions)
         expected = np.sqrt(np.arange(num_elements, dtype=np.float64))

@@ -13,9 +13,8 @@ short relative to its CTA count.
 from __future__ import annotations
 
 import math
+import typing
 from typing import List
-
-import numpy as np
 
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
@@ -30,6 +29,9 @@ from repro.workloads.base import (
 )
 from repro.workloads.datasets import CsrGraph, power_law_graph
 from repro.workloads.shared_memory import ReplicatedArray
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: PageRank damping factor.
 DAMPING = 0.85
@@ -90,6 +92,7 @@ class PageRankWorkload(Workload):
                           num_vertices: int = 1200,
                           iterations: int = 15,
                           tolerance: float = 1e-12) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         graph = power_law_graph(num_vertices, avg_degree=6.0, seed=23)
         multi = _pagerank_partitioned(graph, num_partitions, iterations)
@@ -103,6 +106,7 @@ class PageRankWorkload(Workload):
 
 def _transpose_csr(graph: CsrGraph):
     """In-edge CSR from an out-edge CSR."""
+    import numpy as np
     num_vertices = graph.num_vertices
     tindptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.add.at(tindptr[1:], graph.indices, 1)
@@ -119,6 +123,7 @@ def _transpose_csr(graph: CsrGraph):
 def _pagerank_partitioned(graph: CsrGraph, num_partitions: int,
                           iterations: int) -> np.ndarray:
     """Pull-based PageRank over PROACT-style replicated vectors."""
+    import numpy as np
     num_vertices = graph.num_vertices
     tindptr, tindices = _transpose_csr(graph)
     out_degree = np.maximum(graph.out_degree(), 1)

@@ -14,18 +14,21 @@ model computes the same result as a single-device implementation.
 
 from __future__ import annotations
 
+import typing
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import WorkloadError
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class ReplicatedArray:
     """An array with one coherent-on-synchronize copy per virtual GPU."""
 
-    def __init__(self, shape, dtype=np.float64, num_gpus: int = 4,
+    def __init__(self, shape, dtype=float, num_gpus: int = 4,
                  fill: float = 0.0) -> None:
+        import numpy as np
         if num_gpus < 1:
             raise WorkloadError(f"need >= 1 GPU: {num_gpus}")
         self.num_gpus = num_gpus
@@ -67,6 +70,7 @@ class ReplicatedArray:
         Overlapping writes from different GPUs to the same location are a
         data race under PROACT's model and are rejected.
         """
+        import numpy as np
         self._check_for_conflicts()
         for gpu in range(self.num_gpus):
             for region in self._pending[gpu]:
@@ -82,6 +86,7 @@ class ReplicatedArray:
 
     def assert_coherent(self, atol: float = 0.0) -> None:
         """Raise unless every copy holds identical contents."""
+        import numpy as np
         reference = self._copies[0]
         for gpu in range(1, self.num_gpus):
             if not np.allclose(self._copies[gpu], reference, atol=atol,
@@ -100,6 +105,7 @@ class ReplicatedArray:
 
     def _check_for_conflicts(self) -> None:
         """Detect two GPUs writing overlapping element sets."""
+        import numpy as np
         touched: Optional[np.ndarray] = None
         for gpu in range(self.num_gpus):
             if not self._pending[gpu]:

@@ -10,9 +10,8 @@ moderate (distance + predecessor + active flag per vertex).
 from __future__ import annotations
 
 import math
+import typing
 from typing import List
-
-import numpy as np
 
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
@@ -28,8 +27,11 @@ from repro.workloads.base import (
 from repro.workloads.datasets import CsrGraph, road_like_graph
 from repro.workloads.shared_memory import ReplicatedArray
 
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
+
 #: Sentinel for unreachable vertices.
-INFINITY = np.inf
+INFINITY = math.inf
 
 
 class SsspWorkload(Workload):
@@ -89,6 +91,7 @@ class SsspWorkload(Workload):
                           num_vertices: int = 400,
                           source: int = 0,
                           tolerance: float = 0.0) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         graph = road_like_graph(num_vertices, seed=31)
         weights = _edge_weights(graph)
@@ -106,11 +109,13 @@ class SsspWorkload(Workload):
 
 def _edge_weights(graph: CsrGraph) -> np.ndarray:
     """Deterministic positive edge weights derived from endpoints."""
+    import numpy as np
     sources = np.repeat(np.arange(graph.num_vertices), graph.out_degree())
     return 1.0 + ((sources * 31 + graph.indices * 17) % 97) / 97.0
 
 
 def _transpose_with_weights(graph: CsrGraph, weights: np.ndarray):
+    import numpy as np
     num_vertices = graph.num_vertices
     tindptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.add.at(tindptr[1:], graph.indices, 1)
@@ -129,6 +134,7 @@ def _transpose_with_weights(graph: CsrGraph, weights: np.ndarray):
 def _bellman_ford_partitioned(graph: CsrGraph, weights: np.ndarray,
                               source: int, num_partitions: int):
     """Pull-based Bellman-Ford over PROACT-style replicated distances."""
+    import numpy as np
     num_vertices = graph.num_vertices
     tindptr, tindices, tweights = _transpose_with_weights(graph, weights)
     distances = ReplicatedArray(num_vertices, num_gpus=num_partitions,

@@ -16,9 +16,8 @@ principle check), and a paper-scale timing layer.
 from __future__ import annotations
 
 import math
+import typing
 from typing import List
-
-import numpy as np
 
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
@@ -31,6 +30,9 @@ from repro.workloads.base import (
     strip_final_phase_regions,
 )
 from repro.workloads.shared_memory import ReplicatedArray
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class Heat2DWorkload(Workload):
@@ -92,6 +94,7 @@ class Heat2DWorkload(Workload):
     def verify_functional(self, num_partitions: int = 4,
                           grid_side: int = 48, iterations: int = 25,
                           tolerance: float = 1e-12) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         multi = _heat_partitioned(grid_side, iterations, num_partitions)
         reference = _heat_partitioned(grid_side, iterations, 1)
@@ -111,6 +114,7 @@ class Heat2DWorkload(Workload):
 
 def _initial_grid(side: int) -> np.ndarray:
     """Cold interior with a hot top edge (classic test problem)."""
+    import numpy as np
     grid = np.zeros((side, side))
     grid[0, :] = 1.0
     return grid

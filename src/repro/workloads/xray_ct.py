@@ -15,10 +15,8 @@ Pascal and Volta (Table II).
 from __future__ import annotations
 
 import math
+import typing
 from typing import List
-
-import numpy as np
-from scipy import ndimage
 
 from repro.core.runtime import GpuPhaseWork
 from repro.runtime.kernels import KernelSpec
@@ -33,6 +31,9 @@ from repro.workloads.base import (
 )
 from repro.workloads.datasets import phantom_image
 from repro.workloads.shared_memory import ReplicatedArray
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class XrayCtWorkload(Workload):
@@ -92,6 +93,7 @@ class XrayCtWorkload(Workload):
                           image_side: int = 32, num_views: int = 12,
                           iterations: int = 10,
                           tolerance: float = 1e-9) -> FunctionalCheck:
+        import numpy as np
         self._check_partitions(num_partitions)
         truth = phantom_image(image_side)
         angles = np.linspace(0.0, 180.0, num_views, endpoint=False)
@@ -114,6 +116,7 @@ class XrayCtWorkload(Workload):
 
 def _forward_project(image: np.ndarray, angle_degrees: float) -> np.ndarray:
     """One parallel-beam projection: rotate then sum columns."""
+    from scipy import ndimage
     rotated = ndimage.rotate(image, angle_degrees, reshape=False, order=1)
     return rotated.sum(axis=0)
 
@@ -121,6 +124,8 @@ def _forward_project(image: np.ndarray, angle_degrees: float) -> np.ndarray:
 def _back_project(projection: np.ndarray, angle_degrees: float,
                   side: int) -> np.ndarray:
     """Adjoint-ish smear of one projection across the image."""
+    import numpy as np
+    from scipy import ndimage
     smeared = np.tile(projection, (side, 1))
     return ndimage.rotate(smeared, -angle_degrees, reshape=False, order=1)
 
@@ -129,6 +134,7 @@ def _sirt_partitioned(sinogram: np.ndarray, angles: np.ndarray,
                       side: int, iterations: int,
                       num_partitions: int) -> np.ndarray:
     """SIRT with views partitioned across PROACT-style virtual GPUs."""
+    import numpy as np
     num_views = len(angles)
     relaxation = 1.8 / (num_views * side)
     image = ReplicatedArray((side, side), num_gpus=num_partitions)
