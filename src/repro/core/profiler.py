@@ -17,27 +17,27 @@ Three search modes:
   separable: on the quick Table II grid coordinate picks a different
   configuration than the exhaustive argmin for Kepler PageRank, SSSP
   and ALS and for Pascal ALS (see EXPERIMENTS.md, Table II);
-* ``"search"`` — the floor-seeded autotuner: rank the grid by its
-  infinite-bandwidth lower bounds, measure an opening rung, hill-climb
-  the (chunk x threads x mechanism) neighborhood of the incumbent, then
-  *certify* the answer by measuring, best-first, every remaining
-  candidate whose floor could still win.
+* ``"search"`` — best-first branch-and-bound: rank the grid by its
+  infinite-bandwidth lower bounds (floors), then measure candidates
+  best-first until every remaining floor exceeds the best runtime
+  measured so far.
 
-The ``search`` certification is sound.  A candidate's floor is its
-runtime under an *infinite-bandwidth* fabric — transfers complete
-instantly, so the run is far cheaper to simulate (no per-quantum link
-events) and its runtime is a true lower bound on the real measurement
-(removing all interconnect time can only shorten the schedule; with
-``infinite_bw`` the decoupled agents also drop their copy-bandwidth
-throttle).  A candidate is skipped only when its floor *strictly*
-exceeds the best runtime measured so far: its real runtime would satisfy
-``runtime >= floor > incumbent``, so it can neither be the argmin nor
-tie the minimum.  Every entry the exhaustive sweep would rank first —
-including all runtime ties — is therefore measured, and
-:attr:`ProfileResult.best` is identical to brute force; the search just
-pays for far fewer full measurements.  On a parallel backend the
-certification measures one backend-width wave at a time, re-checking
-every candidate's floor against the freshest incumbent between waves.
+The ``search`` pruning is sound.  A candidate's floor is its runtime
+under an *infinite-bandwidth* fabric — transfers complete instantly, so
+the run is far cheaper to simulate (no per-quantum link events) and its
+runtime is a true lower bound on the real measurement (removing all
+interconnect time can only shorten the schedule; with ``infinite_bw``
+the decoupled agents also drop their copy-bandwidth throttle).  A
+candidate is skipped only when its floor *strictly* exceeds the best
+runtime measured so far: its real runtime would satisfy ``runtime >=
+floor > incumbent``, so it can neither be the argmin nor tie the
+minimum.  Every entry the exhaustive sweep would rank first — including
+all runtime ties — is therefore measured, and :attr:`ProfileResult.best`
+is identical to brute force.  Serially the sweep measures exactly the
+candidates whose floor does not exceed the best runtime, the least any
+floor-pruned search can measure.  On a parallel backend it measures one
+backend-width wave at a time, re-checking floors against the freshest
+incumbent between waves.
 
 Execution backends
 ------------------
@@ -82,7 +82,7 @@ worker on the observation's ambient tracer (task spans nested in batch
 spans), and folds queue-wait/batch/task histograms into the shared
 registry via a phase-safe :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
 Every search decision — floors computed, candidates measured or pruned,
-incumbent updates, hill-climb moves, certification waves — lands in the
+incumbent updates, measurement waves — lands in the
 observation's typed :class:`~repro.obs.decisions.DecisionLog` (mirrored
 on the ``decision`` trace channel), with the invariant that each grid
 candidate ends in exactly one ``measure`` or ``prune`` event.
@@ -629,14 +629,6 @@ class _SweepTelemetry:
         self._log("prune", config=config.label(), floor=floor,
                   incumbent=incumbent)
 
-    def rung(self, size: int) -> None:
-        self._log("rung", size=size)
-
-    def move(self, entry: ProfileEntry) -> None:
-        """The hill-climb relocated to a better neighbor."""
-        self._log("move", config=entry.config.label(),
-                  runtime=entry.runtime)
-
     def certify_wave(self, size: int) -> None:
         self._log("certify", size=size)
 
@@ -694,8 +686,8 @@ class Profiler:
         signature is what :class:`~repro.core.cache.ProfileStore` keys
         cached results by.  The backend is deliberately excluded —
         parallel and serial sweeps share cache hits (the ``search`` mode
-        also guarantees a backend-independent winner: its certification
-        step makes the argmin exhaustive-exact even though the set of
+        also guarantees a backend-independent winner: its strict floor
+        pruning makes the argmin exhaustive-exact even though the set of
         measured entries may differ by backend).
         """
         chunks = ",".join(str(size) for size in self.chunk_sizes)
@@ -736,53 +728,61 @@ class Profiler:
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
         """Run the sweep for one application.
 
-        The search is planned as waves of independent measurements so
-        any backend (serial or parallel) produces identical entries in
-        identical order: first every mechanism's opening sweep, then —
-        for coordinate search — the thread sweep at each mechanism's
-        best granularity.  ``search="search"`` runs the floor-seeded
-        autotuner instead (see the module docstring).
+        Every mode measures through :meth:`_measure`, in waves of
+        independent configurations: exhaustive measures the full grid in
+        one wave, coordinate search runs a chunk wave and then a thread
+        wave, and ``search="search"`` measures best-first by floor (see
+        the module docstring).  Exhaustive and coordinate entries are
+        identical, in identical order, on any backend; a search sweep's
+        winner is.
         """
         telemetry = self._sweep_telemetry()
         with self._open_session(phase_builder, telemetry) as session:
             if self.search_mode == "search":
-                return self._profile_search(session, telemetry)
-            first_wave = {mechanism: self._first_wave(mechanism)
-                          for mechanism in self.mechanisms}
-            measured = self._split_by_mechanism(
-                first_wave,
-                self._run_wave(first_wave, session, telemetry))
+                result = self._profile_search(session, telemetry)
+            elif self.search_mode == "coordinate":
+                result = self._profile_coordinate(session, telemetry)
+            else:
+                result = ProfileResult(entries=self._measure(
+                    self._full_grid(), session, telemetry))
+        self._observe_entries(result.entries)
+        return result
 
-            if self.search_mode == "coordinate":
-                second_wave = {
-                    mechanism: self._thread_sweep(mechanism,
-                                                  measured[mechanism])
-                    for mechanism in self.mechanisms}
-                second = self._split_by_mechanism(
-                    second_wave,
-                    self._run_wave(second_wave, session, telemetry))
-                for mechanism in self.mechanisms:
-                    measured[mechanism].extend(second[mechanism])
+    def _full_grid(self, thread_counts: Optional[Sequence[int]] = None,
+                   ) -> List[ProactConfig]:
+        """Every candidate of the exhaustive search, in mechanism order.
 
-            return ProfileResult(entries=[
-                entry for mechanism in self.mechanisms
-                for entry in measured[mechanism]])
-
-    # ------------------------------------------------------------------
-    # Grid helpers
-    # ------------------------------------------------------------------
-    def _full_grid(self) -> List[ProactConfig]:
-        """Every candidate of the exhaustive search, in mechanism order."""
+        ``thread_counts`` narrows the decoupled mechanisms' thread axis
+        (coordinate search's chunk wave uses only the top count).
+        """
+        if thread_counts is None:
+            thread_counts = self.thread_counts
         grid: List[ProactConfig] = []
         for mechanism in self.mechanisms:
             if mechanism == MECH_INLINE:
+                # Inline has no decoupled knobs; one representative point.
                 grid.append(ProactConfig(MECH_INLINE, self.chunk_sizes[0],
                                          self.thread_counts[0]))
                 continue
             grid.extend(ProactConfig(mechanism, chunk_size, threads)
                         for chunk_size in self.chunk_sizes
-                        for threads in self.thread_counts)
+                        for threads in thread_counts)
         return grid
+
+    def _measure(self, configs: Sequence[ProactConfig],
+                 session: TaskSession, telemetry: _SweepTelemetry,
+                 ) -> List[ProfileEntry]:
+        """Fully measure one wave of configs, in order."""
+        # Candidate measurements build hundreds of throwaway systems;
+        # suppress the ambient observation so they do not flood the
+        # trace (and so serial and process-pool backends — where workers
+        # never see the parent's scope — observe identically).  The
+        # per-candidate timings themselves are published afterwards.
+        with suppress_observation():
+            entries = session.map([_measure_task(config)
+                                   for config in configs])
+        telemetry.measured_entries(entries)
+        return entries
 
     def _floors(self, candidates: Sequence[ProactConfig],
                 session: TaskSession, telemetry: _SweepTelemetry,
@@ -794,158 +794,58 @@ class Profiler:
         telemetry.floors_done(floors)
         return floors
 
-    # ------------------------------------------------------------------
-    # Search-based autotuning
-    # ------------------------------------------------------------------
-    def _neighbors(self, config: ProactConfig) -> List[ProactConfig]:
-        """The hill-climb moves from one decoupled grid point.
+    def _profile_coordinate(self, session: TaskSession,
+                            telemetry: _SweepTelemetry) -> ProfileResult:
+        """Chunks at the top thread count, then threads at the best chunk.
 
-        One step along each axis: chunk index +-1, thread index +-1, and
-        the same coordinates under every other decoupled mechanism.
-        Inline has no knobs, so it contributes no moves (the
-        certification step still measures it whenever its floor keeps it
-        in contention).
+        Entries are grouped by mechanism: each one's chunk wave followed
+        by its thread wave.
         """
-        if config.mechanism == MECH_INLINE:
-            return []
-        chunk_index = self.chunk_sizes.index(config.chunk_size)
-        thread_index = self.thread_counts.index(config.transfer_threads)
-        moves: List[ProactConfig] = []
-        for delta in (-1, 1):
-            i = chunk_index + delta
-            if 0 <= i < len(self.chunk_sizes):
-                moves.append(ProactConfig(
-                    config.mechanism, self.chunk_sizes[i],
-                    config.transfer_threads))
-            j = thread_index + delta
-            if 0 <= j < len(self.thread_counts):
-                moves.append(ProactConfig(
-                    config.mechanism, config.chunk_size,
-                    self.thread_counts[j]))
-        for mechanism in self.mechanisms:
-            if mechanism == config.mechanism or mechanism == MECH_INLINE:
-                continue
-            moves.append(ProactConfig(mechanism, config.chunk_size,
-                                      config.transfer_threads))
-        return moves
+        grouped: Dict[str, List[ProfileEntry]] = {
+            mechanism: [] for mechanism in self.mechanisms}
+        chunk_wave = self._full_grid(self.thread_counts[-1:])
+        for entry in self._measure(chunk_wave, session, telemetry):
+            grouped[entry.config.mechanism].append(entry)
+        best_chunk = {
+            mechanism: min(entries, key=_entry_order).config.chunk_size
+            for mechanism, entries in grouped.items()
+            if mechanism != MECH_INLINE}
+        thread_wave = [ProactConfig(mechanism, chunk_size, threads)
+                       for mechanism, chunk_size in best_chunk.items()
+                       for threads in self.thread_counts[:-1]]
+        for entry in self._measure(thread_wave, session, telemetry):
+            grouped[entry.config.mechanism].append(entry)
+        return ProfileResult(entries=[entry for entries in grouped.values()
+                                      for entry in entries])
 
     def _profile_search(self, session: TaskSession,
                         telemetry: _SweepTelemetry) -> ProfileResult:
-        """The floor-seeded rung + hill-climb + certification loop."""
+        """Best-first branch-and-bound over the floor-ranked grid."""
         candidates = self._full_grid()
         floors = self._floors(candidates, session, telemetry)
         # Best-first: smallest floor first, ties toward the smallest config.
         ranked = sorted(candidates,
                         key=lambda c: (floors[c], _config_order(c)))
         wave_size = max(1, self.backend.parallelism)
-
         entries: List[ProfileEntry] = []
-        measured: Dict[ProactConfig, ProfileEntry] = {}
-
-        def measure(configs: Sequence[ProactConfig]) -> None:
-            fresh = [config for config in configs
-                     if config not in measured]
-            if not fresh:
-                return
-            with suppress_observation():
-                batch = session.map([_measure_task(config)
-                                     for config in fresh])
-            for entry in batch:
-                measured[entry.config] = entry
-                entries.append(entry)
-            telemetry.measured_entries(batch)
-
-        # Opening rung: the floor ranking's head (the floor model's bet).
-        rung = min(len(ranked), max(4, 2 * wave_size))
-        telemetry.rung(rung)
-        measure(ranked[:rung])
-        best = min(entries, key=_entry_order)
-
-        # Hill-climb the incumbent's neighborhood until it stops moving.
-        while True:
-            incumbent = best.runtime
-            moves = [config for config in self._neighbors(best.config)
-                     if config not in measured
-                     and floors[config] <= incumbent]
-            if not moves:
-                break
-            measure(moves)
-            improved = min(entries, key=_entry_order)
-            if improved.config == best.config:
-                break
-            best = improved
-            telemetry.move(best)
-
-        # Certification: any unmeasured candidate whose floor does not
-        # strictly exceed the incumbent could still win — measure them,
-        # best-first, re-pruning between waves as the incumbent drops.
-        incumbent = min(entry.runtime for entry in entries)
-        remaining = [config for config in ranked if config not in measured]
-        cursor = 0
-        while cursor < len(remaining):
-            wave: List[ProactConfig] = []
-            while cursor < len(remaining) and len(wave) < wave_size:
-                config = remaining[cursor]
-                cursor += 1
-                if floors[config] > incumbent:
-                    telemetry.pruned_config(config, floors[config],
-                                            incumbent)
-                    continue
-                wave.append(config)
+        incumbent = math.inf
+        # Floors ascend and the incumbent only drops, so the candidates
+        # still in contention are always a prefix of what is left.
+        while len(entries) < len(ranked):
+            wave = [config for config in
+                    ranked[len(entries):len(entries) + wave_size]
+                    if floors[config] <= incumbent]
             if not wave:
-                continue
+                break
             telemetry.certify_wave(len(wave))
-            measure(wave)
+            entries.extend(self._measure(wave, session, telemetry))
             incumbent = min(entry.runtime for entry in entries)
-
-        self._observe_entries(entries)
+        for config in ranked[len(entries):]:
+            telemetry.pruned_config(config, floors[config], incumbent)
         return ProfileResult(
             entries=entries,
             pruned_configs=len(candidates) - len(entries),
             floor_runs=len(candidates))
-
-    # ------------------------------------------------------------------
-    # Wave planning
-    # ------------------------------------------------------------------
-    def _first_wave(self, mechanism: str) -> List[ProactConfig]:
-        """Opening sweep for one mechanism (no data dependencies)."""
-        if mechanism == MECH_INLINE:
-            # Inline has no decoupled knobs; one representative point.
-            return [ProactConfig(MECH_INLINE, self.chunk_sizes[0],
-                                 self.thread_counts[0])]
-        if self.search_mode == "exhaustive":
-            return [ProactConfig(mechanism, chunk_size, threads)
-                    for chunk_size in self.chunk_sizes
-                    for threads in self.thread_counts]
-        return [ProactConfig(mechanism, chunk_size, self.thread_counts[-1])
-                for chunk_size in self.chunk_sizes]
-
-    def _thread_sweep(self, mechanism: str,
-                      chunk_entries: Sequence[ProfileEntry],
-                      ) -> List[ProactConfig]:
-        """Coordinate search's second stage: threads at the best chunk."""
-        if mechanism == MECH_INLINE:
-            return []
-        best_chunk = min(chunk_entries, key=_entry_order).config.chunk_size
-        return [ProactConfig(mechanism, best_chunk, threads)
-                for threads in self.thread_counts[:-1]]
-
-    def _run_wave(self, wave: Dict[str, List[ProactConfig]],
-                      session: TaskSession, telemetry: _SweepTelemetry,
-                      ) -> List[ProfileEntry]:
-        flat = [config for mechanism in self.mechanisms
-                for config in wave[mechanism]]
-        # Candidate measurements build hundreds of throwaway systems;
-        # suppress the ambient observation so they do not flood the
-        # trace (and so serial and process-pool backends — where workers
-        # never see the parent's scope — observe identically).  The
-        # per-candidate timings themselves are published afterwards.
-        with suppress_observation():
-            entries = session.map([_measure_task(config)
-                                   for config in flat])
-        telemetry.measured_entries(entries)
-        self._observe_entries(entries)
-        return entries
 
     def _observe_entries(self, entries: Sequence[ProfileEntry]) -> None:
         """Publish per-candidate sweep timings to the ambient scope."""
@@ -965,14 +865,3 @@ class Profiler:
             observation.metrics.inc(
                 "profile_candidates", platform=self.platform.name,
                 mechanism=config.mechanism)
-
-    def _split_by_mechanism(self, wave: Dict[str, List[ProactConfig]],
-                            entries: Sequence[ProfileEntry],
-                            ) -> Dict[str, List[ProfileEntry]]:
-        split: Dict[str, List[ProfileEntry]] = {}
-        cursor = 0
-        for mechanism in self.mechanisms:
-            count = len(wave[mechanism])
-            split[mechanism] = list(entries[cursor:cursor + count])
-            cursor += count
-        return split

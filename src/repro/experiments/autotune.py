@@ -2,7 +2,7 @@
 
 The ``"search"`` profiler mode (``Profiler(search="search")``) claims
 two things: its chosen configuration is *provably* the exhaustive argmin
-(the floor-certification step only ever skips candidates whose
+(its best-first sweep only ever skips candidates whose
 infinite-bandwidth lower bound strictly exceeds the measured incumbent),
 and it gets there with far fewer full measurements.  This harness checks
 both claims end to end, per workload, on a grid small enough to also run
@@ -26,7 +26,7 @@ from repro.units import KiB, MiB
 from repro.workloads import Workload, default_workloads
 
 #: Small enough that brute force stays experiment-sized, wide enough for
-#: the floor ranking and hill-climb to have real work to do.
+#: the floor ranking and pruning to have real work to do.
 SWEEP_CHUNK_SIZES = (64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB)
 SWEEP_THREAD_COUNTS = (512, 2048, 8192)
 FULL_THREAD_COUNTS = (512, 1024, 2048, 4096, 8192)

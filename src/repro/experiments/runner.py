@@ -54,6 +54,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, TextIO
 
+from repro.core.profiler import SEARCH_MODES
 from repro.experiments.registry import (
     DEFAULT_PROFILE_POLICY,
     ExperimentContext,
@@ -284,10 +285,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "sanitizers; a tripped invariant fails the suite")
     parser.add_argument(
         "--profile-strategy", default="coordinate", metavar="MODE",
-        choices=("coordinate", "exhaustive", "search"),
+        choices=SEARCH_MODES,
         help="profiler search mode for sweep-driven experiments: "
-             "coordinate (default), exhaustive, or search (the "
-             "floor-seeded autotuner)")
+             "coordinate (default), exhaustive, or search (best-first "
+             "over infinite-bandwidth floors)")
     parser.add_argument(
         "--profile-jobs", type=int, default=1, metavar="N",
         help="fan each profiler sweep over N warm worker processes "

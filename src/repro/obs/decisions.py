@@ -2,8 +2,8 @@
 
 PROACT's headline mechanism is the profiler *choosing* — which
 configurations to measure, which to prune on their infinite-bandwidth
-floors, when the incumbent moved, where the hill-climb went — yet those
-choices used to vanish inside the sweep.  A :class:`DecisionLog` records
+floors, when the incumbent moved — yet those choices used to vanish
+inside the sweep.  A :class:`DecisionLog` records
 each one as a typed :class:`DecisionEvent`, queryable from the owning
 :class:`~repro.obs.capture.Observation` and mirrored as instant events
 on the ``decision`` channel of its ambient tracer, so the same stream
@@ -14,8 +14,6 @@ Event kinds (:data:`DECISION_KINDS`):
 ``floors``
     One batch of infinite-bandwidth lower bounds finished (payload:
     count, min/max floor).
-``rung``
-    The search autotuner measured its floor-ranked opening rung.
 ``measure``
     One candidate was fully measured (payload: config label, runtime).
 ``prune``
@@ -23,10 +21,9 @@ Event kinds (:data:`DECISION_KINDS`):
     incumbent (payload: config label, floor, incumbent).
 ``incumbent``
     The best measured runtime improved (payload: config label, runtime).
-``move``
-    The hill-climb relocated to a better neighbor.
 ``certify``
-    One certification wave of still-contending candidates was measured.
+    One best-first wave of candidates whose floors could still win was
+    measured (payload: wave size).
 
 For any complete sweep, every grid candidate ends in exactly one of
 ``measure`` or ``prune``, so ``count("measure") + count("prune")``
@@ -43,7 +40,7 @@ from repro.sim.trace import Tracer
 
 #: The recognized decision-event kinds, in rough sweep order.
 DECISION_KINDS: Tuple[str, ...] = (
-    "floors", "rung", "measure", "prune", "incumbent", "move", "certify",
+    "floors", "measure", "prune", "incumbent", "certify",
 )
 
 #: Chrome-trace channel (and hence Perfetto lane) decision events use.

@@ -176,8 +176,8 @@ def test_parallel_profiler_matches_serial_exactly():
 
 
 def test_parallel_pruned_sweep_matches_serial_argmin():
-    # The search sweep sizes its rung and certification waves by the
-    # backend's parallelism; the skip condition is still strict, so the
+    # The search sweep sizes its best-first waves by the backend's
+    # parallelism; the skip condition is still strict, so the
     # winner — config and bitwise runtime — must match brute force.
     builder = small_pagerank().phase_builder()
     kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.core import Profiler
-from repro.core.profiler import ProcessPoolBackend
+from repro.core.profiler import ProcessPoolBackend, run_phases
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
 from tests.conftest import small_jacobi, small_pagerank
@@ -60,6 +60,28 @@ def test_search_returns_exhaustive_argmin(platform, grid, make_workload):
     assert (len(searched.entries) + searched.pruned_configs
             == len(brute.entries))
     assert searched.floor_runs == len(brute.entries)
+
+
+@pytest.mark.parametrize("make_workload", WORKLOADS,
+                         ids=["pagerank", "jacobi"])
+def test_serial_search_measures_exactly_the_contending_floors(
+        make_workload):
+    """Serially, best-first measures exactly {c : floor(c) <= best
+    runtime}: every such candidate must be measured by any floor-pruned
+    search, and nothing else is."""
+    kwargs = dict(chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB, 16 * MiB),
+                  thread_counts=(2048,))
+    builder = make_workload().phase_builder()
+    brute = Profiler(PLATFORM_4X_VOLTA, search="exhaustive",
+                     **kwargs).profile(builder)
+    searched = Profiler(PLATFORM_4X_VOLTA, search="search",
+                        **kwargs).profile(builder)
+    contending = {
+        entry.config for entry in brute.entries
+        if run_phases(PLATFORM_4X_VOLTA, entry.config, builder,
+                      infinite_bw=True) <= brute.best.runtime}
+    assert {entry.config for entry in searched.entries} == contending
+    assert searched.pruned_configs == len(brute.entries) - len(contending)
 
 
 def test_parallel_search_picks_identical_argmin():

@@ -108,7 +108,6 @@ def test_search_mode_telemetry_covers_the_grid():
     assert traced.entries == baseline.entries
     decisions = observation.decisions
     assert decisions.count("measure") + decisions.count("prune") == GRID
-    assert decisions.count("rung") == 1
     assert decisions.final_incumbent().config == traced.best.config.label()
 
 
@@ -122,6 +121,18 @@ def test_coordinate_mode_telemetry_counts_planned_grid():
     planned = 1 + 2 * (len(SMALL_CHUNKS) + len(SMALL_THREADS) - 1)
     assert decisions.count("measure") == len(traced.entries) == planned
     assert decisions.count("prune") == 0
+
+
+def test_coordinate_sweep_publishes_one_ordered_profiler_record_each():
+    """Both coordinate waves land on the ``profiler`` channel as one
+    sequence: order indices 0..n-1 in entry order, none repeated."""
+    with capture(sweeps=True) as observation:
+        traced = _profiler().profile(_builder())
+    records = observation.ambient_tracer.channel("profiler")
+    assert [record.time for record in records] == [
+        float(order) for order in range(len(traced.entries))]
+    assert [record.label for record in records] == [
+        entry.config.label() for entry in traced.entries]
 
 
 # ---------------------------------------------------------------------------
