@@ -1,8 +1,9 @@
 """Public-API surface tests: snapshot + warning-free supported paths.
 
 The checked-in snapshot (``tests/data/public_api.json``) records the
-package's advertised surface — ``repro.__all__`` plus every public
-method signature on :class:`repro.api.Session`.  CI fails when the
+package's advertised surface — ``repro.__all__``, the ``__all__`` of
+every subpackage, plus every public method signature on
+:class:`repro.api.Session`.  CI fails when the
 surface drifts, so renames and signature changes are always a conscious,
 reviewed decision.  After an intentional change, regenerate with::
 
@@ -12,6 +13,7 @@ The warning tests pin that the supported paths never route through a
 deprecated spelling.
 """
 
+import importlib
 import inspect
 import json
 import pathlib
@@ -24,6 +26,10 @@ from repro.api import Session
 from repro.core.config import Mechanisms
 
 SNAPSHOT_PATH = pathlib.Path(__file__).parent / "data" / "public_api.json"
+
+SUBPACKAGES = ("core", "sim", "runtime", "collectives", "interconnect",
+               "cluster", "obs", "validate", "paradigms", "workloads", "hw",
+               "experiments")
 
 
 def current_surface():
@@ -42,6 +48,9 @@ def current_surface():
         "repro_api_all": sorted(repro.api.__all__),
         "mechanisms": sorted(Mechanisms.component_names()),
         "session": methods,
+        "subpackages": {
+            name: sorted(importlib.import_module(f"repro.{name}").__all__)
+            for name in SUBPACKAGES},
     }
 
 
@@ -56,7 +65,7 @@ def test_snapshot_file_exists():
 
 
 def test_public_surface_matches_snapshot():
-    """Any drift in repro.__all__ or Session's signatures fails here."""
+    """Any drift in an ``__all__`` or Session's signatures fails here."""
     snapshot = load_snapshot()
     surface = current_surface()
     assert surface == snapshot, (
