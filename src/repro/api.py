@@ -206,19 +206,14 @@ class Session:
     def plan_collective(self, collective: str, nbytes: int, *,
                         algorithms: Optional[Sequence[str]] = None,
                         chunk_sizes: Optional[Sequence[int]] = None,
-                        jobs: Optional[int] = None,
-                        store=None):
+                        jobs: Optional[int] = None):
         """Tune (algorithm x chunk size) for one collective payload.
 
         The collective twin of :meth:`profile`: sweeps the grid on this
         session's platform and returns the winning
         :class:`~repro.collectives.tuner.CollectiveChoice` (pass the
         chosen ``algorithm``/``chunk_size`` to :meth:`collective` to run
-        it).  ``jobs`` fans the sweep over a warm worker pool; ``store``
-        is an optional
-        :class:`~repro.collectives.tuner.CollectivePlanStore` consulted
-        (and seeded) by sweep signature and payload bucket, so a repeat
-        query in the same bucket skips the sweep.
+        it).  ``jobs`` fans the sweep over a warm worker pool.
         """
         from repro.collectives.tuner import CollectiveTuner
         from repro.core.config import PROFILE_CHUNK_SIZES
@@ -229,8 +224,6 @@ class Session:
                          else chunk_sizes),
             backend=ProcessPoolBackend(jobs) if jobs is not None else None)
         with self.scope():
-            if store is not None:
-                return store.get_or_tune(tuner, nbytes)
             return tuner.tune(nbytes).best_choice
 
     def collective(self, collective: str, nbytes: int, *,

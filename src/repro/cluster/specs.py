@@ -183,12 +183,6 @@ class ClusterPlatformSpec(PlatformSpec):
             self, name=_cluster_name(num_gpus, self.node, self.inter),
             num_gpus=num_gpus, num_nodes=nodes)
 
-    def topology_signature(self) -> str:
-        """Cluster geometry digest for sweep-plan signatures."""
-        return (f"nodes={self.num_nodes}x{self.node.gpus_per_node}"
-                f"|inter={self.inter.kind}"
-                f"|nic={self.node.nic.name}@{self.node.nic.bandwidth:g}")
-
 
 def _cluster_name(num_gpus: int, node: NodeSpec, inter: InterNodeSpec) -> str:
     return f"{num_gpus}x_{node.gpu.arch.lower()}_{inter.kind}"

@@ -6,8 +6,7 @@ compiled into dependency-tagged transfer schedules
 (:mod:`~repro.collectives.algorithms`: ``direct``/``ring``/``tree``),
 executed as simulated processes over the real links
 (:mod:`~repro.collectives.executor`), and autotuned per platform and
-payload bucket PROACT-profiler-style
-(:mod:`~repro.collectives.tuner`).
+payload PROACT-profiler-style (:mod:`~repro.collectives.tuner`).
 
 Typical use, via the system entry point::
 
@@ -44,14 +43,11 @@ from repro.collectives.schedule import (
     verify_schedule,
 )
 from repro.collectives.tuner import (
-    PAYLOAD_BUCKETS,
     CollectiveChoice,
     CollectiveMeasurement,
-    CollectivePlanStore,
     CollectiveTuneResult,
     CollectiveTuner,
     measure_candidate,
-    payload_bucket,
 )
 
 __all__ = [
@@ -68,16 +64,13 @@ __all__ = [
     "CollectiveChoice",
     "CollectiveExecutor",
     "CollectiveMeasurement",
-    "CollectivePlanStore",
     "CollectiveResult",
     "CollectiveSchedule",
     "CollectiveTuneResult",
     "CollectiveTuner",
-    "PAYLOAD_BUCKETS",
     "TransferOp",
     "build_schedule",
     "measure_candidate",
-    "payload_bucket",
     "replay_payloads",
     "schedules_for",
     "supported_algorithms",

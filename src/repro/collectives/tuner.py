@@ -3,12 +3,9 @@
 The paper's compile-time profiler brute-forces PROACT's configuration
 space per (application, platform) and bakes in the winner.
 :class:`CollectiveTuner` is the same idea for collectives: sweep
-(algorithm x chunk size) per platform and payload bucket by *running*
-each candidate on the simulated fabric, pick the fastest with a
-deterministic tie-break, and remember the choice in a JSON-backed
-:class:`CollectivePlanStore` keyed by the sweep's signature — the exact
-scheme :class:`~repro.core.cache.ProfileStore` uses, so sweeps over
-different grids never collide and serial/parallel sweeps share hits.
+(algorithm x chunk size) per platform and payload size by *running*
+each candidate on the simulated fabric and pick the fastest with a
+deterministic tie-break.
 
 Sweeps execute through the profiler's
 :class:`~repro.core.profiler.ExecutorBackend` seam, so
@@ -19,40 +16,17 @@ grid over worker processes yet returns byte-identical measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
 from repro.collectives.schedule import ALL_COLLECTIVES, COLL_ALL_REDUCE
 from repro.core.config import PROFILE_CHUNK_SIZES
 from repro.core.profiler import ExecutorBackend, ProcessPoolBackend
-from repro.core.store import SignatureKeyedStore
 from repro.errors import CollectiveError
 from repro.hw.platform import PlatformSpec
 from repro.obs.capture import active as active_observation
 from repro.obs.capture import suppress as suppress_observation
-from repro.units import KiB, MiB
-
-#: Payload buckets the tuner plans for, with a representative size each
-#: (a real launch looks its payload's bucket up in the plan).
-PAYLOAD_BUCKETS: Tuple[Tuple[str, int], ...] = (
-    ("small", 64 * KiB),
-    ("medium", 4 * MiB),
-    ("large", 64 * MiB),
-)
-
-#: Bucket upper bounds, in ``PAYLOAD_BUCKETS`` order (last is open-ended).
-_BUCKET_LIMITS: Tuple[int, ...] = (256 * KiB, 16 * MiB)
-
-
-def payload_bucket(nbytes: int) -> str:
-    """The plan bucket an arbitrary payload size falls into."""
-    if nbytes < 0:
-        raise CollectiveError(f"negative payload: {nbytes}")
-    for (name, _), limit in zip(PAYLOAD_BUCKETS, _BUCKET_LIMITS):
-        if nbytes <= limit:
-            return name
-    return PAYLOAD_BUCKETS[-1][0]
 
 
 @dataclass(frozen=True)
@@ -167,25 +141,6 @@ class CollectiveTuner:
         self.chunk_sizes = tuple(sorted(chunk_sizes))
         self.backend = backend or ProcessPoolBackend(1)
 
-    def sweep_signature(self) -> str:
-        """Canonical identifier of this sweep's search space.
-
-        Same contract as :meth:`Profiler.sweep_signature`: two tuners
-        with equal signatures explore the same grid and pick the same
-        winner, so the signature keys the plan store.  The backend is
-        deliberately excluded — parallel and serial sweeps share hits.
-        """
-        algorithms = ",".join(self.algorithms)
-        chunks = ",".join(str(size) for size in self.chunk_sizes)
-        signature = (f"collective={self.collective}|algos={algorithms}"
-                     f"|chunks={chunks}")
-        if self.platform.is_cluster:
-            # Cluster sweeps fold the node geometry in: the same grid on
-            # a different node count / NIC / inter-node topology is a
-            # different search space and must not share plan entries.
-            signature += f"|cluster={self.platform.topology_signature()}"
-        return signature
-
     def tune(self, nbytes: int) -> CollectiveTuneResult:
         """Sweep the grid for one payload size."""
         tasks: List[_TuneTask] = [
@@ -221,75 +176,3 @@ class CollectiveTuner:
             observation.metrics.inc(
                 "collective_candidates", platform=self.platform.name,
                 collective=self.collective, algorithm=entry.algorithm)
-
-
-# ---------------------------------------------------------------------------
-# Plan store
-# ---------------------------------------------------------------------------
-
-#: ``(platform, collective, bucket, sweep signature)``.
-_PlanKey = Tuple[str, str, str, str]
-
-
-def _choice_to_dict(choice: CollectiveChoice) -> Dict:
-    return {"algorithm": choice.algorithm, "chunk_size": choice.chunk_size}
-
-
-def _choice_from_dict(data: Dict) -> CollectiveChoice:
-    try:
-        return CollectiveChoice(algorithm=str(data["algorithm"]),
-                                chunk_size=int(data["chunk_size"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CollectiveError(f"corrupt plan entry: {data!r}") from exc
-
-
-class CollectivePlanStore(SignatureKeyedStore[CollectiveChoice]):
-    """JSON-backed, concurrency-safe cache of tuned collective choices.
-
-    The compile-time analogue of :class:`~repro.core.cache.ProfileStore`
-    with the same key scheme: entries are namespaced by the tuner's
-    sweep signature so sweeps over different grids never collide, and a
-    parallel sweep shares hits with its serial twin.  Like the profile
-    store it rides :class:`~repro.core.store.SignatureKeyedStore`:
-    operations are thread-safe, and saves are locked read-merge-write
-    plus atomic write-then-rename, so processes sharing the store path
-    never lose entries or read a torn document.
-    """
-
-    KEY_PARTS = 4
-    ERROR = CollectiveError
-    KEY_LAYOUT = "platform::collective::bucket::signature"
-    KIND = "plan store"
-
-    def get(self, platform_name: str, collective: str, bucket: str,
-            signature: str) -> Optional[CollectiveChoice]:
-        return self._get_entry(
-            (platform_name, collective, bucket, signature))
-
-    def put(self, platform_name: str, collective: str, bucket: str,
-            choice: CollectiveChoice, signature: str) -> None:
-        self._put_entry(
-            (platform_name, collective, bucket, signature), choice)
-
-    def get_or_tune(self, tuner: CollectiveTuner,
-                    nbytes: int) -> CollectiveChoice:
-        """The cached choice for this payload's bucket, tuning on a miss."""
-        bucket = payload_bucket(nbytes)
-        signature = tuner.sweep_signature()
-        cached = self.get(tuner.platform.name, tuner.collective, bucket,
-                          signature)
-        if cached is not None:
-            return cached
-        choice = tuner.tune(nbytes).best_choice
-        self.put(tuner.platform.name, tuner.collective, bucket, choice,
-                 signature)
-        return choice
-
-    # ------------------------------------------------------------------
-    # Persistence schema
-    # ------------------------------------------------------------------
-    def _encode_value(self, value: CollectiveChoice) -> Dict:
-        return _choice_to_dict(value)
-
-    def _decode_value(self, data: Dict) -> CollectiveChoice:
-        return _choice_from_dict(data)

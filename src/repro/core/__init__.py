@@ -32,7 +32,6 @@ from repro.core.mapping import (
     StencilMapping,
     StridedMapping,
 )
-from repro.core.cache import ProfileStore
 from repro.core.polling import PollingAgent
 from repro.core.program import (
     CtaContext,
@@ -101,7 +100,6 @@ __all__ = [
     "ExecutorBackend",
     "ProcessPoolBackend",
     "measure_config",
-    "ProfileStore",
     "ProactDataStructure",
     "CtaContext",
     "proact_init",

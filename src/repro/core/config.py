@@ -127,12 +127,6 @@ class Mechanisms:
     def all_enabled(self) -> bool:
         return not self.ablated
 
-    def signature(self) -> str:
-        """Stable identifier for cache keys and sweep signatures."""
-        if self.all_enabled:
-            return "default"
-        return "ablate:" + ",".join(self.ablated)
-
     def describe(self) -> str:
         """Human-readable summary (``"all mechanisms on"`` or the flips)."""
         if self.all_enabled:

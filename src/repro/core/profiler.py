@@ -657,8 +657,7 @@ class Profiler:
                              ("thread_counts", thread_counts),
                              ("mechanisms", mechanisms)):
             if len(set(values)) != len(values):
-                # A repeated value would be measured twice and key the
-                # sweep under a signature no deduplicated grid matches.
+                # A repeated value would be measured twice.
                 raise ProactError(f"duplicate {axis}: {tuple(values)}")
         #: Mechanism-ablation policy applied to every measurement
         #: (``None`` = all on).  With ``decoupled_agent`` ablated the
@@ -677,29 +676,6 @@ class Profiler:
         #: The configured mode: one of :data:`SEARCH_MODES`.
         self.search_mode = search
         self.backend = backend or ProcessPoolBackend(1)
-
-    def sweep_signature(self) -> str:
-        """Canonical identifier of this sweep's full search space.
-
-        Two profilers with the same signature explore the same grid and
-        (given deterministic tie-breaking) choose the same winner, so the
-        signature is what :class:`~repro.core.cache.ProfileStore` keys
-        cached results by.  The backend is deliberately excluded —
-        parallel and serial sweeps share cache hits (the ``search`` mode
-        also guarantees a backend-independent winner: its strict floor
-        pruning makes the argmin exhaustive-exact even though the set of
-        measured entries may differ by backend).
-        """
-        chunks = ",".join(str(size) for size in self.chunk_sizes)
-        threads = ",".join(str(count) for count in self.thread_counts)
-        mechanisms = ",".join(self.mechanisms)
-        signature = (f"{self.search_mode}|mech={mechanisms}|chunks={chunks}"
-                     f"|threads={threads}")
-        if self.toggles is not None and not self.toggles.all_enabled:
-            # Ablated sweeps measure a different model; never share
-            # cache hits with the unablated grid.
-            signature += f"|{self.toggles.signature()}"
-        return signature
 
     def _sweep_telemetry(self) -> _SweepTelemetry:
         """Per-sweep telemetry controller (inert unless opted in)."""

@@ -26,10 +26,6 @@ class ConfigurationError(ReproError):
     """Raised for invalid hardware, interconnect, or PROACT configuration."""
 
 
-class MemoryError_(ReproError):
-    """Raised for invalid simulated-memory operations (bad ranges, OOM)."""
-
-
 class RuntimeApiError(ReproError):
     """Raised for misuse of the simulated GPU runtime API."""
 

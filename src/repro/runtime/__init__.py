@@ -1,9 +1,7 @@
-"""Simulated GPU runtime: devices, kernels, streams, DMA, unified memory."""
+"""Simulated GPU runtime: devices, kernels, DMA, unified memory."""
 
-from repro.runtime.allocator import Allocation, MemoryAllocator
 from repro.runtime.device import Device, KernelLaunch
 from repro.runtime.kernels import CTA_RETIREMENT_SPREAD, CTAS_PER_SM, KernelSpec
-from repro.runtime.stream import Stream
 from repro.runtime.system import System
 from repro.runtime.unified_memory import (
     UM_FAULT_BATCH,
@@ -20,9 +18,6 @@ __all__ = [
     "KernelSpec",
     "CTAS_PER_SM",
     "CTA_RETIREMENT_SPREAD",
-    "Stream",
-    "MemoryAllocator",
-    "Allocation",
     "UnifiedMemoryModel",
     "UM_PAGE_SIZE",
     "UM_FAULT_PAGE_SIZE",

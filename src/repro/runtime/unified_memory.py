@@ -121,12 +121,3 @@ class UnifiedMemoryModel:
                 access_size=fmt.max_payload)
         self.bytes_migrated += nbytes
         return nbytes
-
-    def migrate(self, dst: "Device", src: "Device", nbytes: int,
-                hinted: bool) -> Process:
-        """Dispatch to the right mechanism for this GPU generation."""
-        if dst.spec.um_legacy:
-            return self.legacy_mirror(dst, src, nbytes)
-        if hinted:
-            return self.prefetch(dst, src, nbytes)
-        return self.demand_migrate(dst, src, nbytes)

@@ -9,7 +9,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource
 from repro.sim.trace import NULL_TRACER, IntervalStats, TraceRecord, Tracer
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Process",
     "Resource",
     "Request",
-    "Store",
     "Tracer",
     "TraceRecord",
     "NULL_TRACER",

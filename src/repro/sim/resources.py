@@ -1,18 +1,14 @@
-"""Shared-resource primitives built on the event engine.
+"""Shared-resource primitive built on the event engine.
 
-Two primitives cover everything the simulator needs:
-
-* :class:`Resource` — a counted semaphore with FIFO queuing (SM slots,
-  DMA engines, link arbitration).
-* :class:`Store` — an unbounded/bounded FIFO of Python objects with
-  blocking ``get`` (work queues between producers and transfer agents).
+:class:`Resource` is a counted semaphore with FIFO queuing: a device's
+DMA engines and CDP launcher, and the polling agent's dispatcher.
 """
 
 from __future__ import annotations
 
 import typing
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -76,55 +72,3 @@ class Resource:
             nxt.succeed(self)
         else:
             self._in_use -= 1
-
-    def acquire(self):
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request()
-
-
-class Store:
-    """A FIFO of items with blocking ``get`` and optional capacity."""
-
-    def __init__(self, engine: "Engine", capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"store capacity must be >= 1: {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> Tuple[Any, ...]:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Add an item; the returned event fires once accepted."""
-        done = Event(self.engine)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            done.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            done.succeed()
-        else:
-            self._putters.append((done, item))
-        return done
-
-    def get(self) -> Event:
-        """Take the oldest item; the returned event fires with the item."""
-        got = Event(self.engine)
-        if self._items:
-            got.succeed(self._items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self._items.append(item)
-                putter.succeed()
-        else:
-            self._getters.append(got)
-        return got

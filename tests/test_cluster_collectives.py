@@ -155,19 +155,6 @@ def test_tuner_sweeps_hierarchical_on_cluster_platforms():
     assert result.best_for_algorithm(ALGO_HIERARCHICAL).runtime > 0
 
 
-def test_cluster_sweep_signatures_carry_the_node_geometry():
-    flat_sig = CollectiveTuner(
-        platform_by_name("16x_volta"), "all_reduce",
-        chunk_sizes=(64 * KiB,)).sweep_signature()
-    assert "cluster=" not in flat_sig
-    sig2 = CollectiveTuner(quad_cluster(2), "all_reduce",
-                           chunk_sizes=(64 * KiB,)).sweep_signature()
-    sig4 = CollectiveTuner(quad_cluster(4), "all_reduce",
-                           chunk_sizes=(64 * KiB,)).sweep_signature()
-    assert "cluster=nodes=2x4|inter=fat_tree|nic=HDR200" in sig2
-    assert sig2 != sig4  # different geometry, different plan namespace
-
-
 # ----------------------------------------------------------------------
 # Differential oracle at cluster scale
 # ----------------------------------------------------------------------

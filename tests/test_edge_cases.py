@@ -6,32 +6,9 @@ from repro.core import MECH_POLLING, PollingAgent, ProactConfig
 from repro.core.polling import CHUNK_DISPATCH_OVERHEAD
 from repro.errors import SimulationError
 from repro.hw import PLATFORM_4X_VOLTA
-from repro.runtime import Stream, System
+from repro.runtime import System
 from repro.sim import Engine
 from repro.units import KiB, MiB
-
-
-# ---------------------------------------------------------------------------
-# Stream failure propagation
-# ---------------------------------------------------------------------------
-
-def test_stream_operation_failure_reaches_completion_event():
-    system = System(PLATFORM_4X_VOLTA)
-    device = system.device(0)
-    stream = Stream(device)
-
-    def exploding():
-        def boom():
-            raise RuntimeError("bad operation")
-        return system.engine.process(_gen(boom))
-
-    def _gen(fn):
-        fn()
-        yield system.engine.timeout(0)
-
-    done = stream.submit(exploding)
-    with pytest.raises(RuntimeError, match="bad operation"):
-        system.run(until=done)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ def test_component_names_and_defaults():
     default = Mechanisms()
     assert default.all_enabled
     assert default.ablated == ()
-    assert default.signature() == "default"
 
 
 def test_ablate_and_flip():
@@ -48,7 +47,6 @@ def test_ablate_and_flip():
     assert ablated.ablated == ("write_coalescing", "packet_overhead")
     assert not ablated.write_coalescing
     assert ablated.decoupled_agent
-    assert ablated.signature() == "ablate:write_coalescing,packet_overhead"
     # flip() toggles: off -> on restores the default.
     assert ablated.flip("write_coalescing").ablated == ("packet_overhead",)
     assert Mechanisms().flip("fluid_contention") == (
@@ -159,18 +157,6 @@ def test_profiler_toggles_collapse_sweep_to_inline():
     profiler = Profiler(PLATFORM,
                         toggles=Mechanisms.ablate("decoupled_agent"))
     assert profiler.mechanisms == ("inline",)
-
-
-def test_profiler_toggles_change_sweep_signature():
-    default_sig = Profiler(PLATFORM).sweep_signature()
-    ablated_sig = Profiler(
-        PLATFORM,
-        toggles=Mechanisms.ablate("write_coalescing")).sweep_signature()
-    assert "ablate:write_coalescing" in ablated_sig
-    assert default_sig != ablated_sig
-    # All-on toggles keep the historical signature: cache hits survive.
-    all_on_sig = Profiler(PLATFORM, toggles=Mechanisms()).sweep_signature()
-    assert all_on_sig == default_sig
 
 
 def test_profiler_rejects_empty_sweep_space():

@@ -12,7 +12,6 @@ from repro.paradigms import (
     UnifiedMemoryParadigm,
 )
 from repro.units import KiB, MiB
-from repro.workloads import JacobiWorkload, PageRankWorkload
 from tests.conftest import small_jacobi, small_pagerank
 
 

@@ -272,26 +272,6 @@ def test_process_pool_backend_validation():
         assert session.map([]) == []
 
 
-def test_sweep_signature_identifies_search_space():
-    base = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                    thread_counts=SMALL_THREADS)
-    same = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                    thread_counts=SMALL_THREADS)
-    assert base.sweep_signature() == same.sweep_signature()
-    # The backend is excluded: parallel sweeps share cache hits.
-    parallel = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                        thread_counts=SMALL_THREADS,
-                        backend=ProcessPoolBackend(4))
-    assert parallel.sweep_signature() == base.sweep_signature()
-    # Any grid/search change produces a distinct namespace.
-    wider = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=(*SMALL_CHUNKS, 4 * MiB),
-                     thread_counts=SMALL_THREADS)
-    exhaustive = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                          thread_counts=SMALL_THREADS, search="exhaustive")
-    assert wider.sweep_signature() != base.sweep_signature()
-    assert exhaustive.sweep_signature() != base.sweep_signature()
-
-
 def test_run_phases_deterministic():
     config = ProactConfig(MECH_POLLING, 1 * MiB, 2048)
     builder = small_pagerank().phase_builder()

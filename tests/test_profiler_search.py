@@ -114,18 +114,6 @@ def test_session_profile_strategy_search():
     assert searched.pruned_configs >= 0
 
 
-def test_search_signature_namespaces_the_mode():
-    """Search sweeps must not share profile-store entries with other
-    modes over the same grid."""
-    kwargs = dict(chunk_sizes=(128 * KiB, 1 * MiB),
-                  thread_counts=(1024, 4096))
-    searched = Profiler(PLATFORM_4X_VOLTA, search="search", **kwargs)
-    brute = Profiler(PLATFORM_4X_VOLTA, search="exhaustive", **kwargs)
-    coordinate = Profiler(PLATFORM_4X_VOLTA, **kwargs)
-    assert searched.sweep_signature() != brute.sweep_signature()
-    assert searched.sweep_signature() != coordinate.sweep_signature()
-
-
 @pytest.mark.slow
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

@@ -1,59 +1,18 @@
-"""Unit tests for streams, the allocator, kernel specs, and unified memory."""
+"""Unit tests for kernel specs and unified memory."""
 
 import pytest
 
-from repro.errors import ConfigurationError, MemoryError_, RuntimeApiError
+from repro.errors import ConfigurationError, RuntimeApiError
 from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
 from repro.runtime import (
     CTA_RETIREMENT_SPREAD,
-    MemoryAllocator,
     KernelSpec,
-    Stream,
     System,
     UM_FAULT_BATCH,
     UM_FAULT_PAGE_SIZE,
     UnifiedMemoryModel,
 )
-from repro.units import GiB, MiB
-
-
-# ---------------------------------------------------------------------------
-# Streams
-# ---------------------------------------------------------------------------
-
-def test_stream_runs_operations_in_order():
-    system = System(PLATFORM_4X_VOLTA)
-    device = system.device(0)
-    stream = Stream(device)
-    order = []
-
-    def op(tag, work):
-        def start():
-            order.append(tag)
-            return device.launch_kernel(tag, work=work).done
-        return start
-
-    stream.submit(op("first", 2e-4))
-    stream.submit(op("second", 1e-4))
-    sync = stream.synchronize()
-    system.run(until=sync)
-    assert order == ["first", "second"]
-    assert stream.pending == 0
-
-
-def test_stream_completion_events_fire_with_results():
-    system = System(PLATFORM_4X_VOLTA)
-    device = system.device(0)
-    stream = Stream(device)
-    done = stream.submit(lambda: device.memcpy_peer(system.device(1), 1024))
-    receipt = system.run(until=done)
-    assert receipt.payload_bytes == 1024
-
-
-def test_stream_synchronize_when_idle_fires_immediately():
-    system = System(PLATFORM_4X_VOLTA)
-    stream = Stream(system.device(0))
-    assert stream.synchronize().triggered
+from repro.units import MiB
 
 
 # ---------------------------------------------------------------------------
@@ -109,44 +68,6 @@ def test_kernel_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# Allocator
-# ---------------------------------------------------------------------------
-
-def test_allocator_tracks_usage_and_capacity():
-    system = System(PLATFORM_4X_VOLTA)
-    allocator = MemoryAllocator(system)
-    allocation = allocator.alloc(system.device(0), 4 * GiB, "matrix")
-    assert allocator.used(0) == 4 * GiB
-    assert allocator.free(0) == system.spec.gpu.mem_capacity - 4 * GiB
-    allocator.release(allocation)
-    assert allocator.used(0) == 0
-
-
-def test_allocator_rejects_oversized():
-    system = System(PLATFORM_4X_VOLTA)
-    allocator = MemoryAllocator(system)
-    with pytest.raises(MemoryError_):
-        allocator.alloc(system.device(0), 33 * GiB, "too-big")
-
-
-def test_allocator_replicated():
-    system = System(PLATFORM_4X_VOLTA)
-    allocator = MemoryAllocator(system)
-    allocations = allocator.alloc_replicated(1 * GiB, "shared")
-    assert len(allocations) == 4
-    assert all(allocator.used(i) == 1 * GiB for i in range(4))
-
-
-def test_allocator_double_release_rejected():
-    system = System(PLATFORM_4X_VOLTA)
-    allocator = MemoryAllocator(system)
-    allocation = allocator.alloc(system.device(0), 1024)
-    allocator.release(allocation)
-    with pytest.raises(MemoryError_):
-        allocator.release(allocation)
-
-
-# ---------------------------------------------------------------------------
 # Unified memory
 # ---------------------------------------------------------------------------
 
@@ -195,24 +116,15 @@ def test_um_legacy_mirror_on_kepler_is_much_slower():
 
     system = System(PLATFORM_4X_KEPLER)
     um = UnifiedMemoryModel(system)
-    system.run(until=um.migrate(system.device(1), system.device(0), nbytes,
-                                hinted=True))
+    system.run(until=um.legacy_mirror(system.device(1), system.device(0),
+                                      nbytes))
     legacy_time = system.now
 
-    # Even with hints, Kepler's legacy path ignores them.
     system2 = System(PLATFORM_4X_KEPLER)
     system2.run(until=system2.device(0).memcpy_peer(system2.device(1),
                                                     nbytes))
     memcpy_time = system2.now
     assert legacy_time > 1.8 * memcpy_time
-
-
-def test_um_migrate_dispatch_modern():
-    system = System(PLATFORM_4X_VOLTA)
-    um = UnifiedMemoryModel(system)
-    system.run(until=um.migrate(system.device(1), system.device(0),
-                                8 * MiB, hinted=False))
-    assert um.pages_faulted > 0
 
 
 def test_um_negative_sizes_rejected():

@@ -1,9 +1,9 @@
-"""Unit tests for the Resource and Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Resource, Store
+from repro.sim import Engine, Resource
 
 
 # ---------------------------------------------------------------------------
@@ -68,89 +68,3 @@ def test_resource_serializes_contention():
         engine.process(user(engine, res))
     engine.run()
     assert completion_times == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_put_then_get():
-    engine = Engine()
-    store = Store(engine)
-    store.put("item")
-    got = store.get()
-    engine.run()
-    assert got.value == "item"
-
-
-def test_store_get_blocks_until_put():
-    engine = Engine()
-    store = Store(engine)
-    results = []
-
-    def consumer(engine, store):
-        item = yield store.get()
-        results.append((item, engine.now))
-
-    def producer(engine, store):
-        yield engine.timeout(3.0)
-        store.put("late item")
-
-    engine.process(consumer(engine, store))
-    engine.process(producer(engine, store))
-    engine.run()
-    assert results == [("late item", 3.0)]
-
-
-def test_store_fifo_ordering():
-    engine = Engine()
-    store = Store(engine)
-    for i in range(3):
-        store.put(i)
-    taken = []
-
-    def consumer(engine, store):
-        for _ in range(3):
-            item = yield store.get()
-            taken.append(item)
-
-    engine.process(consumer(engine, store))
-    engine.run()
-    assert taken == [0, 1, 2]
-
-
-def test_store_capacity_blocks_put():
-    engine = Engine()
-    store = Store(engine, capacity=1)
-    timeline = []
-
-    def producer(engine, store):
-        for i in range(2):
-            yield store.put(i)
-            timeline.append(("put", i, engine.now))
-
-    def consumer(engine, store):
-        yield engine.timeout(5.0)
-        item = yield store.get()
-        timeline.append(("got", item, engine.now))
-
-    engine.process(producer(engine, store))
-    engine.process(consumer(engine, store))
-    engine.run()
-    assert ("put", 0, 0.0) in timeline
-    assert ("put", 1, 5.0) in timeline  # blocked until the get
-
-
-def test_store_len_and_items():
-    engine = Engine()
-    store = Store(engine)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-    assert store.items == ("a", "b")
-
-
-def test_store_invalid_capacity_rejected():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        Store(engine, capacity=0)

@@ -56,7 +56,7 @@ def test_format_bandwidth():
 
 def test_error_hierarchy():
     for error_cls in (errors.SimulationError, errors.DeadlockError,
-                      errors.ConfigurationError, errors.MemoryError_,
+                      errors.ConfigurationError,
                       errors.RuntimeApiError, errors.ProactError,
                       errors.WorkloadError):
         assert issubclass(error_cls, errors.ReproError)
