@@ -4,7 +4,7 @@ Collectives (broadcast, all-gather, reduce-scatter, all-reduce) are
 compiled into dependency-tagged transfer schedules
 (:mod:`~repro.collectives.schedule`), built by three algorithm families
 (:mod:`~repro.collectives.algorithms`: ``direct``/``ring``/``tree``),
-executed as simulated processes over the real links
+executed over the real links by completion callbacks
 (:mod:`~repro.collectives.executor`), and autotuned per platform and
 payload PROACT-profiler-style (:mod:`~repro.collectives.tuner`).
 

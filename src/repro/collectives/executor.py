@@ -1,19 +1,33 @@
-"""Execute collective schedules as simulated processes on the fabric.
+"""Execute collective schedules on the fabric.
 
-Every :class:`~repro.collectives.schedule.TransferOp` becomes one
-engine process: wait for the op's dependencies, then occupy the real
-route with ``Fabric.send`` — so link contention, multi-hop pipelining,
-and per-packet framing efficiency all come from the interconnect model,
-not from an analytic formula.  Each op emits a span into the owning
-GPU's ``coll`` trace lane, which is what makes ring pipelining visible
-in the Chrome-trace export: the chunk stream staircases across the
-GPUs' lanes.
+A launch walks the schedule's dependency DAG with completion callbacks.
+Every :class:`~repro.collectives.schedule.TransferOp` whose dependencies
+have completed occupies the real route with ``Fabric.send`` — so link
+contention, multi-hop pipelining, and per-packet framing efficiency all
+come from the interconnect model, not from an analytic formula.  No
+process or event exists per op: the launch keeps each op's count of
+pending dependencies, and an op's completion decrements its successors
+and sends each one that reaches zero.
+
+That handling runs one zero-delay engine entry after the delivery
+(``Engine._call(0.0, ...)``), never inside it, so a successor's send
+comes after every entry already due at that instant, and its quanta
+queue behind the ones those entries offer.  Link service times and
+route latencies are positive, so nothing else joins the instant at
+zero delay, and the one FIFO step keeps same-instant completions in
+delivery order (see ``docs/MODELING.md``).
+
+Each op emits a span into the owning GPU's ``coll`` trace lane, which
+is what makes ring pipelining visible in the Chrome-trace export: the
+chunk stream staircases across the GPUs' lanes.
 """
 
 from __future__ import annotations
 
 import typing
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.collectives.schedule import (
@@ -24,6 +38,7 @@ from repro.collectives.schedule import (
     CollectiveSchedule,
 )
 from repro.errors import CollectiveError
+from repro.sim.events import Event
 from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,35 +116,13 @@ class CollectiveExecutor:
             self._drive(schedule),
             name=f"coll:{schedule.collective}:{schedule.algorithm}")
 
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def _op_process(self, schedule: CollectiveSchedule, op, done):
-        engine = self.system.engine
-        if op.deps:
-            yield engine.all_of([done[dep] for dep in op.deps])
-        started = engine.now
-        yield self.system.fabric.send(op.src, op.dst, op.nbytes,
-                                      self.access_size)
-        tracer = engine.tracer
-        if tracer.enabled:
-            tracer.span(
-                started, engine.now, f"gpu{op.src}.coll",
-                f"{schedule.collective}:{schedule.algorithm} "
-                f"s{op.step} shard{op.shard}.{op.chunk}->gpu{op.dst}",
-                payload={"bytes": op.nbytes, "step": op.step})
-        done[op.index].succeed()
-
     def _drive(self, schedule: CollectiveSchedule):
         engine = self.system.engine
         start = engine.now
-        done = [engine.event() for _ in schedule.ops]
-        for op in schedule.ops:
-            engine.process(
-                self._op_process(schedule, op, done),
-                name=f"collop:{op.src}->{op.dst}@{op.step}")
-        if done:
-            yield engine.all_of(done)
+        if schedule.ops:
+            finished = Event(engine)
+            _Launch(self, schedule, finished)
+            yield finished
         result = CollectiveResult(
             collective=schedule.collective,
             algorithm=schedule.algorithm,
@@ -157,3 +150,76 @@ class CollectiveExecutor:
                 collective=schedule.collective,
                 algorithm=schedule.algorithm)
         return result
+
+
+class _Launch:
+    """One schedule in flight: the dependency DAG walked by callbacks.
+
+    The successor table is compressed: op ``i``'s successors, in index
+    order, are ``succ[first[i]:first[i + 1]]``.  ``pending[i]`` counts
+    the dependencies of op ``i`` that have not completed yet.
+    """
+
+    __slots__ = ("engine", "fabric", "access_size", "schedule", "ops",
+                 "first", "succ", "pending", "left", "finished")
+
+    def __init__(self, executor: CollectiveExecutor,
+                 schedule: CollectiveSchedule, finished: Event) -> None:
+        system = executor.system
+        self.engine = system.engine
+        self.fabric = system.fabric
+        self.access_size = executor.access_size
+        self.schedule = schedule
+        self.ops = ops = schedule.ops
+        self.left = len(ops)
+        self.finished = finished
+        self.pending = pending = array("i", [0]) * len(ops)
+        first = array("i", [0]) * (len(ops) + 1)
+        for op in ops:
+            pending[op.index] = len(op.deps)
+            for dep in op.deps:
+                first[dep + 1] += 1
+        for i in range(len(ops)):
+            first[i + 1] += first[i]
+        self.first = first
+        self.succ = succ = array("i", [0]) * first[-1]
+        slot = first[:-1]
+        for op in ops:
+            for dep in op.deps:
+                succ[slot[dep]] = op.index
+                slot[dep] += 1
+        for op in ops:
+            if not op.deps:
+                self._send(op.index)
+
+    def _send(self, index: int) -> None:
+        op = self.ops[index]
+        self.fabric.send(op.src, op.dst, op.nbytes, self.access_size,
+                         then=partial(self._delivered, index,
+                                      self.engine._now))
+
+    def _delivered(self, index: int, started: float) -> None:
+        """Defer the op's completion by one zero-delay entry."""
+        self.engine._call(0.0, partial(self._completed, index, started))
+
+    def _completed(self, index: int, started: float) -> None:
+        """Trace the op, release its successors, finish the launch."""
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer.enabled:
+            op = self.ops[index]
+            schedule = self.schedule
+            tracer.span(
+                started, engine._now, f"gpu{op.src}.coll",
+                f"{schedule.collective}:{schedule.algorithm} "
+                f"s{op.step} shard{op.shard}.{op.chunk}->gpu{op.dst}",
+                payload={"bytes": op.nbytes, "step": op.step})
+        pending, succ = self.pending, self.succ
+        for k in range(self.first[index], self.first[index + 1]):
+            successor = succ[k]
+            pending[successor] -= 1
+            if pending[successor] == 0:
+                self._send(successor)
+        self.left -= 1
+        if self.left == 0:
+            self.finished.succeed()

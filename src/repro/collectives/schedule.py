@@ -4,12 +4,13 @@ A collective (broadcast, all-gather, reduce-scatter, all-reduce) is
 compiled by an algorithm builder (:mod:`repro.collectives.algorithms`)
 into a :class:`CollectiveSchedule` — an ordered list of
 :class:`TransferOp` entries, each one ``Fabric.send`` with explicit data
-dependencies on earlier ops.  The executor turns every op into a
-simulated process that waits for its dependencies and then occupies real
-links, so contention, multi-hop routing, and per-packet efficiency are
-modelled for free, and PROACT-style chunk pipelining falls out of the
-dependency structure: chunk *k+1* of a ring step can be in flight on the
-upstream link while chunk *k* crosses the downstream hop.
+dependencies on earlier ops.  The executor sends every op once its
+dependencies have completed (a count per op, decremented by completion
+callbacks) and the op then occupies real links, so contention,
+multi-hop routing, and per-packet efficiency are modelled for free,
+and PROACT-style chunk pipelining falls out of the dependency
+structure: chunk *k+1* of a ring step can be in flight on the upstream
+link while chunk *k* crosses the downstream hop.
 
 Payloads are tracked symbolically.  Every op names the *shard* (a
 contiguous slice of the collective buffer) and *chunk* (a PROACT-sized

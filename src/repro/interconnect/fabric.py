@@ -19,12 +19,12 @@ the paper's limit study: the same API, zero-cost transfers.
 from __future__ import annotations
 
 import typing
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interconnect.link import Link
-from repro.interconnect.route import (Route, TransferReceipt, check_transfer,
-                                      route_between)
+from repro.interconnect.route import (Route, Then, TransferReceipt,
+                                      check_transfer, route_between)
 from repro.interconnect.specs import (
     TOPOLOGY_ALL_TO_ALL,
     TOPOLOGY_CUBE_MESH,
@@ -192,8 +192,13 @@ class Fabric:
                 f"no route {src}->{dst} in a {self.num_gpus}-GPU fabric"
             ) from None
 
-    def send(self, src: int, dst: int, nbytes: int, access_size: int) -> Event:
+    def send(self, src: int, dst: int, nbytes: int, access_size: int,
+             then: Then = None) -> Optional[Event]:
         """Start a transfer; returns its completion event.
+
+        Given a completion callable ``then``, no event is built and
+        ``None`` is returned; ``then()`` runs when the transfer completes
+        (see :meth:`Route.transfer`).
 
         A send from a GPU to itself is a validated zero-cost local copy
         (no link is crossed, nothing is accounted) — degenerate
@@ -201,15 +206,20 @@ class Fabric:
         path, and must not depend on what a route lookup happens to do.
         """
         if src == dst:
-            return self._local_copy(src, nbytes, access_size)
-        return self.route(src, dst).transfer(nbytes, access_size)
+            return self._local_copy(src, nbytes, access_size, then)
+        return self.route(src, dst).transfer(nbytes, access_size, then)
 
-    def _local_copy(self, gpu: int, nbytes: int, access_size: int) -> Event:
-        """An immediately-complete self-transfer with full validation."""
+    def _local_copy(self, gpu: int, nbytes: int, access_size: int,
+                    then: Then = None) -> Optional[Event]:
+        """An immediately-complete self-transfer with full validation;
+        ``then()``, if given, runs synchronously."""
         lo, hi = self.gpu_base, self.gpu_base + self.num_gpus - 1
         if not lo <= gpu <= hi:
             raise ConfigurationError(f"GPU {gpu} out of range {lo}..{hi}")
         check_transfer(nbytes, access_size)
+        if then is not None:
+            then()
+            return None
         event = Event(self.engine)
         event.succeed(TransferReceipt(
             src=gpu, dst=gpu, payload_bytes=nbytes, wire_bytes=0,

@@ -7,7 +7,10 @@ by quantum and share bandwidth approximately fairly, the way packet
 interleaving shares a real link.  Serving a quantum is one callable
 engine heap entry that accounts the busy interval, hands the link to
 the head of its queue, and tells the quantum's transfer that the hop is
-clear (see :mod:`repro.interconnect.route`).
+clear (see :mod:`repro.interconnect.route`).  When that was a
+transfer's last hop on a route without latency, the same entry
+delivers it: a sender's completion callable runs inside it, and only a
+sender waiting on a receipt event costs one more entry.
 
 Links account both *goodput* (useful payload bytes) and *wire bytes*
 (payload plus packet overhead), so interconnect efficiency is measurable

@@ -22,15 +22,17 @@ clear at one instant.  Equal flows on a link interleave round-robin by
 quantum, and a quantum from upstream whose hop clears at the instant a
 link frees, but later in schedule order, queues behind the next quantum
 of the flow the link just served.  A transfer of *n* quanta over *h*
-hops costs *n·h* engine events plus one for completion and one for
-latency.
+hops costs *n·h* engine events, plus one for the delivery latency and,
+for a caller that waits on the returned receipt :class:`Event`, one for
+that event.  A caller that passes a completion callable (``then``) gets
+no receipt: ``then()`` runs at delivery, in the entry that delivers.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interconnect.link import Link
@@ -41,6 +43,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Per hop: ``(quantum bytes, wire bytes, service seconds)``.
 _Plan = Tuple[Tuple[int, int, float], ...]
+
+#: A transfer's completion callable: runs with no arguments at delivery.
+Then = Optional[Callable[[], None]]
 
 
 def check_transfer(payload_bytes: int, access_size: int) -> None:
@@ -94,15 +99,19 @@ class Route:
         """Raw wire bandwidth of the slowest link on the route."""
         return min(link.bandwidth for link in self.links)
 
-    def transfer(self, payload_bytes: int, access_size: int) -> Event:
+    def transfer(self, payload_bytes: int, access_size: int,
+                 then: Then = None) -> Optional[Event]:
         """Send ``payload_bytes`` issued as ``access_size``-byte accesses.
 
         Returns an event that fires with a :class:`TransferReceipt` once
         the last quantum has crossed every hop and the latency is paid.
+        Given ``then``, builds no event and returns ``None``: ``then()``
+        runs at that moment instead (synchronously, for a transfer that
+        completes at once).
         """
         check_transfer(payload_bytes, access_size)
         if payload_bytes == 0:
-            return self._instant(payload_bytes, access_size)
+            return self._instant(payload_bytes, access_size, then)
         full_quanta, tail = divmod(payload_bytes, self._quantum)
         full_plan = tail_plan = None
         wire = 0
@@ -113,7 +122,8 @@ class Route:
             tail_plan, tail_wire = self._plan(tail, access_size)
             wire += tail_wire
         flow = _Flow(self, payload_bytes, access_size, wire, full_quanta,
-                     full_quanta + (1 if tail else 0), full_plan, tail_plan)
+                     full_quanta + (1 if tail else 0), full_plan, tail_plan,
+                     then)
         self.links[0].offer(flow, 0)
         return flow.done
 
@@ -135,15 +145,18 @@ class Route:
                 tuple(plan), max(hop[1] for hop in plan))
         return memo
 
-    def _instant(self, payload_bytes: int, access_size: int) -> Event:
+    def _instant(self, payload_bytes: int, access_size: int,
+                 then: Then = None) -> Optional[Event]:
         """A transfer that completes now, moving no wire bytes."""
-        event = Event(self.engine)
-        self._finish(event, payload_bytes, 0, access_size, self.engine.now)
+        event = Event(self.engine) if then is None else None
+        self._finish(event, then, payload_bytes, 0, access_size,
+                     self.engine.now)
         return event
 
-    def _finish(self, done: Event, payload_bytes: int, wire_bytes: int,
-                access_size: int, start_time: float) -> None:
-        """Trace the transfer on the source's lane and fire ``done``."""
+    def _finish(self, done: Optional[Event], then: Then, payload_bytes: int,
+                wire_bytes: int, access_size: int, start_time: float) -> None:
+        """Trace the transfer on the source's lane, then run ``then`` or
+        fire ``done``."""
         now = self.engine.now
         tracer = self.engine.tracer
         if tracer.enabled:
@@ -152,6 +165,9 @@ class Route:
                         payload={"bytes": payload_bytes,
                                  "wire_bytes": wire_bytes,
                                  "access_size": access_size})
+        if then is not None:
+            then()
+            return
         done.succeed(TransferReceipt(
             src=self.src, dst=self.dst, payload_bytes=payload_bytes,
             wire_bytes=wire_bytes, access_size=access_size,
@@ -164,17 +180,18 @@ class _Flow:
     ``progress[h]`` counts the quanta that have cleared hop ``h``, which
     is also the index of the quantum hop ``h`` serves or waits for
     next: a flow's quanta cross every hop in order, so at most one of
-    them is queued at or crossing any one hop.
+    them is queued at or crossing any one hop.  ``done`` is the receipt
+    event, or ``None`` when the sender passed a ``then`` callable.
     """
 
     __slots__ = ("route", "payload_bytes", "access_size", "wire_bytes",
                  "full_quanta", "quanta", "full_plan", "tail_plan",
-                 "progress", "start_time", "done")
+                 "progress", "start_time", "done", "then")
 
     def __init__(self, route: Route, payload_bytes: int, access_size: int,
                  wire_bytes: int, full_quanta: int, quanta: int,
                  full_plan: Optional[_Plan],
-                 tail_plan: Optional[_Plan]) -> None:
+                 tail_plan: Optional[_Plan], then: Then) -> None:
         self.route = route
         self.payload_bytes = payload_bytes
         self.access_size = access_size
@@ -185,7 +202,8 @@ class _Flow:
         self.tail_plan = tail_plan
         self.progress = [0] * len(route.links)
         self.start_time = route.engine.now
-        self.done = Event(route.engine)
+        self.done = Event(route.engine) if then is None else None
+        self.then = then
 
     def step(self, hop: int) -> Tuple[int, int, float]:
         """``(quantum, wire, service)`` of the quantum ``hop`` serves."""
@@ -212,8 +230,9 @@ class _Flow:
             links[hop].offer(self, hop)
 
     def _delivered(self) -> None:
-        self.route._finish(self.done, self.payload_bytes, self.wire_bytes,
-                           self.access_size, self.start_time)
+        self.route._finish(self.done, self.then, self.payload_bytes,
+                           self.wire_bytes, self.access_size,
+                           self.start_time)
 
 
 class LoopbackRoute(Route):
@@ -248,9 +267,10 @@ class InfiniteRoute(Route):
                  fmt_link: Link) -> None:
         super().__init__(engine, src, dst, [fmt_link], latency=0.0)
 
-    def transfer(self, payload_bytes: int, access_size: int) -> Event:
+    def transfer(self, payload_bytes: int, access_size: int,
+                 then: Then = None) -> Optional[Event]:
         check_transfer(payload_bytes, access_size)
-        return self._instant(payload_bytes, access_size)
+        return self._instant(payload_bytes, access_size, then)
 
 
 def route_between(engine: "Engine", src: int, dst: int, links: Sequence[Link],

@@ -135,8 +135,9 @@ class System:
         """Launch a collective over the fabric; returns its process.
 
         The schedule is compiled by
-        :func:`repro.collectives.build_schedule` and executed as
-        simulated processes on this system's links, so contention and
+        :func:`repro.collectives.build_schedule` and executed on this
+        system's links by completion callbacks (one process for the
+        whole collective, none per transfer), so contention and
         per-packet efficiency are modelled.  ``chunk_size`` defaults to
         the PROACT default granularity
         (:data:`repro.core.config.DEFAULT_CONFIG`).  The returned

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 import typing
+from functools import partial
 
 from repro.errors import RuntimeApiError
-from repro.sim.process import Process
+from repro.sim.events import PRIORITY_URGENT, Event
 from repro.units import KiB
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,81 +44,102 @@ UM_LEGACY_BANDWIDTH_FACTOR = 0.4
 
 
 class UnifiedMemoryModel:
-    """Executes UM migrations for one system."""
+    """Executes UM migrations for one system.
+
+    Each migration is a chain of engine callbacks, not a process: a
+    driver delay, then a fabric send whose completion callable takes
+    the next step.  Every method returns an event that fires with the
+    migrated byte count.
+    """
 
     def __init__(self, system) -> None:
         self.system = system
         self.pages_faulted = 0
         self.bytes_migrated = 0
 
-    def prefetch(self, dst: "Device", src: "Device", nbytes: int) -> Process:
+    def _bulk(self, dst: "Device", src: "Device", nbytes: int,
+              wire_payload: int, delay: float) -> Event:
+        """After ``delay``, send ``wire_payload`` bytes as DMA-sized
+        accesses; the event fires with ``nbytes`` once they arrive."""
+        engine = self.system.engine
+        fabric = self.system.fabric
+        done = Event(engine)
+
+        def finish() -> None:
+            self.bytes_migrated += nbytes
+            done.succeed(nbytes)
+
+        def send() -> None:
+            if nbytes > 0:
+                fabric.send(src.device_id, dst.device_id, wire_payload,
+                            access_size=fabric.spec.fmt.max_payload,
+                            then=finish)
+            else:
+                finish()
+
+        # An urgent zero-delay start, then the delay: the same entries a
+        # process's start and first sleep take.
+        engine._call(0.0, partial(engine._call, delay, send),
+                     PRIORITY_URGENT)
+        return done
+
+    def prefetch(self, dst: "Device", src: "Device", nbytes: int) -> Event:
         """Bulk prefetch (`cudaMemPrefetchAsync`): no per-page faults.
 
         Modelled as a DMA-style transfer; one driver call per region.
         """
         if nbytes < 0:
             raise RuntimeApiError(f"negative prefetch size: {nbytes}")
-        return self.system.engine.process(
-            self._prefetch(dst, src, nbytes),
-            name=f"um-prefetch:{src.device_id}->{dst.device_id}")
-
-    def _prefetch(self, dst: "Device", src: "Device", nbytes: int):
-        engine = self.system.engine
-        yield engine._sleep(dst.spec.dma_init_overhead)
-        if nbytes > 0:
-            fmt = self.system.fabric.spec.fmt
-            yield self.system.fabric.send(
-                src.device_id, dst.device_id, nbytes,
-                access_size=fmt.max_payload)
-        self.bytes_migrated += nbytes
-        return nbytes
+        return self._bulk(dst, src, nbytes, nbytes,
+                          dst.spec.dma_init_overhead)
 
     def demand_migrate(self, dst: "Device", src: "Device",
-                       nbytes: int) -> Process:
-        """Fault-driven migration of ``nbytes`` from ``src`` to ``dst``."""
+                       nbytes: int) -> Event:
+        """Fault-driven migration of ``nbytes`` from ``src`` to ``dst``.
+
+        Pages fault in batches of :data:`UM_FAULT_BATCH`; each batch
+        waits one fault latency, then migrates over the fabric, and its
+        arrival starts the next batch.
+        """
         if nbytes < 0:
             raise RuntimeApiError(f"negative migration size: {nbytes}")
-        return self.system.engine.process(
-            self._demand_migrate(dst, src, nbytes),
-            name=f"um-fault:{src.device_id}->{dst.device_id}")
-
-    def _demand_migrate(self, dst: "Device", src: "Device", nbytes: int):
         engine = self.system.engine
         fabric = self.system.fabric
-        pages = math.ceil(nbytes / UM_FAULT_PAGE_SIZE)
+        fault_latency = dst.spec.um_fault_latency
+        done = Event(engine)
         remaining = nbytes
-        while remaining > 0:
+
+        def next_batch() -> None:
+            if remaining > 0:
+                # One fault latency covers the whole overlapped batch.
+                engine._call(fault_latency, send_batch)
+                return
+            self.pages_faulted += math.ceil(nbytes / UM_FAULT_PAGE_SIZE)
+            self.bytes_migrated += nbytes
+            done.succeed(nbytes)
+
+        def send_batch() -> None:
+            nonlocal remaining
             batch_pages = min(UM_FAULT_BATCH, math.ceil(
                 remaining / UM_FAULT_PAGE_SIZE))
             batch_bytes = min(remaining, batch_pages * UM_FAULT_PAGE_SIZE)
-            # One fault latency covers the whole overlapped batch.
-            yield engine._sleep(dst.spec.um_fault_latency)
-            yield fabric.send(src.device_id, dst.device_id, batch_bytes,
-                              access_size=UM_FAULT_PAGE_SIZE)
             remaining -= batch_bytes
-        self.pages_faulted += pages
-        self.bytes_migrated += nbytes
-        return nbytes
+            fabric.send(src.device_id, dst.device_id, batch_bytes,
+                        access_size=UM_FAULT_PAGE_SIZE, then=next_batch)
+
+        engine._call(0.0, next_batch, PRIORITY_URGENT)
+        return done
 
     def legacy_mirror(self, dst: "Device", src: "Device",
-                      nbytes: int) -> Process:
-        """Kepler-era UM: stage through the host at reduced bandwidth."""
+                      nbytes: int) -> Event:
+        """Kepler-era UM: stage through the host at reduced bandwidth.
+
+        Host staging halves effective bandwidth: the wire-time
+        equivalent of ``nbytes / UM_LEGACY_BANDWIDTH_FACTOR`` crosses
+        the same route, after two DMA set-ups (one per hop).
+        """
         if nbytes < 0:
             raise RuntimeApiError(f"negative mirror size: {nbytes}")
-        return self.system.engine.process(
-            self._legacy_mirror(dst, src, nbytes),
-            name=f"um-legacy:{src.device_id}->{dst.device_id}")
-
-    def _legacy_mirror(self, dst: "Device", src: "Device", nbytes: int):
-        engine = self.system.engine
-        yield engine._sleep(dst.spec.dma_init_overhead * 2)  # two hops
-        if nbytes > 0:
-            fmt = self.system.fabric.spec.fmt
-            # Host staging halves effective bandwidth: send the wire-time
-            # equivalent of twice the payload across the same route.
-            yield self.system.fabric.send(
-                src.device_id, dst.device_id,
-                int(nbytes / UM_LEGACY_BANDWIDTH_FACTOR),
-                access_size=fmt.max_payload)
-        self.bytes_migrated += nbytes
-        return nbytes
+        return self._bulk(dst, src, nbytes,
+                          int(nbytes / UM_LEGACY_BANDWIDTH_FACTOR),
+                          dst.spec.dma_init_overhead * 2)

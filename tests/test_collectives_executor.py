@@ -6,23 +6,31 @@ Covers the acceptance properties:
   payload (contributor accounting over the executed schedule);
 * ring all-reduce sources exactly ``2 (N-1)/N * nbytes`` per GPU;
 * chunked ring beats the unchunked direct bulk exchange on at least one
-  platform, while tree beats ring at small payloads on at least one.
+  platform, while tree beats ring at small payloads on at least one;
+* an op's completion releases its successors one zero-delay engine step
+  after its delivery (pinned durations), on every transfer path.
 """
 
 import pytest
 
 from repro.api import Session
+from repro.cluster import cluster_platform
 from repro.collectives import (
     ALGO_DIRECT,
+    ALGO_HIERARCHICAL,
     ALGO_RING,
     ALGO_TREE,
     ALL_COLLECTIVES,
     COLL_ALL_REDUCE,
+    COLL_BROADCAST,
     CollectiveExecutor,
+    CollectiveSchedule,
+    TransferOp,
     build_schedule,
     supported_algorithms,
     verify_schedule,
 )
+from repro.collectives.schedule import MODE_COPY
 from repro.errors import CollectiveError, ConfigurationError
 from repro.hw.platform import PLATFORMS
 from repro.interconnect.route import TransferReceipt
@@ -167,6 +175,69 @@ def test_single_gpu_collective_completes_instantly():
     proc = system.collective("all_reduce", 16 * MiB)
     result = system.run(until=proc)
     assert result.duration == 0.0
+
+
+def test_collective_on_infinite_fabric_finishes_at_time_zero():
+    system = System(PLATFORMS["4x_volta"], infinite_bw=True)
+    proc = system.collective("all_reduce", 16 * MiB, chunk_size=1 * MiB)
+    result = system.run(until=proc)
+    assert result.start_time == result.end_time == 0.0
+    assert result.sent_bytes == (2 * 3 * 16 * MiB // 4,) * 4
+
+
+def test_zero_byte_op_releases_its_successor():
+    # A 0 -> 1 -> 2 -> 3 chain whose middle op moves nothing: it
+    # completes at once, and the last op still waits for the first.
+    ops = (TransferOp(0, 0, 0, 1, 1 * MiB, 0, 0, MODE_COPY),
+           TransferOp(1, 1, 1, 2, 0, 0, 0, MODE_COPY, deps=(0,)),
+           TransferOp(2, 2, 2, 3, 1 * MiB, 0, 0, MODE_COPY, deps=(1,)))
+    schedule = CollectiveSchedule(COLL_BROADCAST, ALGO_RING, 4, 1 * MiB,
+                                  1 * MiB, 0, ops)
+    tracer = Tracer()
+    system = System(PLATFORMS["4x_volta"], tracer=tracer)
+    result = system.run(until=CollectiveExecutor(system).launch(schedule))
+
+    reference = System(PLATFORMS["4x_volta"])
+    one_send = reference.run(until=reference.fabric.send(
+        0, 1, 1 * MiB, reference.fabric.collective_access_size)).duration
+    assert result.op_count == 3
+    assert result.duration == pytest.approx(2 * one_send, rel=1e-12)
+    assert result.sent_bytes == (1 * MiB, 0, 1 * MiB, 0)
+    coll_spans = [record for record in tracer.records
+                  if record.channel.endswith(".coll")]
+    assert [record.channel for record in coll_spans] == [
+        "gpu0.coll", "gpu1.coll", "gpu2.coll"]
+    assert coll_spans[1].time == coll_spans[1].end == coll_spans[0].end
+
+
+# ---------------------------------------------------------------------------
+# Same-instant completions: the one-step rule
+# ---------------------------------------------------------------------------
+
+#: (platform, collective, algorithm, payload, chunk, duration).  Each
+#: duration moves if an op's successors are sent inside its delivery
+#: instead of one zero-delay engine step after it, since same-instant
+#: completions then interleave with other deliveries differently.
+TIE_RULE_PINS = (
+    ("16x_volta", "broadcast", ALGO_RING, 1 * MiB, 256 * KiB,
+     6.909264000000013e-05),
+    ("8x_ampere", "all_reduce", ALGO_RING, 16 * MiB, 1 * MiB,
+     0.00011337167999999892),
+    ("cluster2", "all_reduce", ALGO_HIERARCHICAL, 16 * MiB, 1 * MiB,
+     0.0009099561599999989),
+)
+
+
+@pytest.mark.parametrize(
+    "platform_name, collective, algorithm, nbytes, chunk_size, duration",
+    TIE_RULE_PINS, ids=[pin[0] for pin in TIE_RULE_PINS])
+def test_completion_releases_successors_one_step_after_delivery(
+        platform_name, collective, algorithm, nbytes, chunk_size, duration):
+    platform = (cluster_platform(2) if platform_name == "cluster2"
+                else PLATFORMS[platform_name])
+    result = Session(platform).collective(
+        collective, nbytes, algorithm=algorithm, chunk_size=chunk_size)
+    assert result.duration == duration
 
 
 def test_executor_rejects_mismatched_gpu_count():

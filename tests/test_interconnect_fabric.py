@@ -11,6 +11,7 @@ from repro.interconnect import (
     Fabric,
 )
 from repro.sim import Engine
+from repro.sim.trace import Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,35 @@ def test_infinite_fabric_transfers_cost_nothing():
     fabric = Fabric(engine, NVLINK2, num_gpus=4, infinite=True)
     engine.run(until=fabric.send(0, 1, 1 << 30, access_size=4))
     assert engine.now == 0.0
+
+
+@pytest.mark.parametrize("infinite, src, dst, nbytes", [
+    (False, 0, 1, 1 << 20),   # a routed transfer
+    (False, 0, 1, 0),         # zero bytes: the instant path
+    (True, 0, 1, 1 << 20),    # an infinite route
+    (False, 2, 2, 1 << 20),   # a self-send: the local copy
+], ids=["routed", "zero-byte", "infinite", "self"])
+def test_send_then_runs_when_the_receipt_would_fire(infinite, src, dst,
+                                                    nbytes):
+    engine = Engine()
+    fabric = Fabric(engine, NVLINK2, num_gpus=4, infinite=infinite)
+    receipt = engine.run(until=fabric.send(src, dst, nbytes, 256))
+
+    tracer = Tracer()
+    engine2 = Engine(tracer=tracer)
+    fabric2 = Fabric(engine2, NVLINK2, num_gpus=4, infinite=infinite)
+    fired = []
+    assert fabric2.send(src, dst, nbytes, 256,
+                        then=lambda: fired.append(engine2.now)) is None
+    # Transfers that take no time complete synchronously.
+    assert fired == ([0.0] if receipt.end_time == 0.0 else [])
+    engine2.run()
+    assert fired == [receipt.end_time]
+    # Only the receipt event is saved; the trace span stays.
+    assert engine2.events_fired == engine.events_fired - 1
+    spans = [record for record in tracer.records
+             if record.channel == f"gpu{src}.transfer"]
+    assert len(spans) == (0 if src == dst else 1)
 
 
 def test_broadcast_from_one_gpu_on_switch_is_serialized_by_uplink():

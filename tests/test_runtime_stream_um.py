@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, RuntimeApiError
-from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
+from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_PASCAL, PLATFORM_4X_VOLTA
+from repro.paradigms import UnifiedMemoryParadigm
 from repro.runtime import (
     CTA_RETIREMENT_SPREAD,
     KernelSpec,
@@ -13,6 +14,7 @@ from repro.runtime import (
     UnifiedMemoryModel,
 )
 from repro.units import MiB
+from tests.conftest import small_pagerank
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,24 @@ def test_um_demand_migration_accounts_faults():
         system.device(1), system.device(0), nbytes))
     assert um.pages_faulted == UM_FAULT_BATCH * 3
     assert um.bytes_migrated == nbytes
+
+
+def test_um_demand_migration_duration_is_pinned():
+    # Fault batches run as a callback chain; the timing is the one the
+    # per-migration process produced.
+    system = System(PLATFORM_4X_VOLTA)
+    um = UnifiedMemoryModel(system)
+    migrated = system.run(until=um.demand_migrate(
+        system.device(1), system.device(0), 16 * MiB))
+    assert migrated == 16 * MiB
+    assert system.now == 0.01363828736000002
+
+
+def test_um_paradigm_runtime_on_pascal_is_pinned():
+    result = UnifiedMemoryParadigm().execute(small_pagerank(),
+                                             PLATFORM_4X_PASCAL)
+    assert result.runtime == 0.0072708525866666445
+    assert result.details["pages_faulted"] == 18768
 
 
 def test_um_legacy_mirror_on_kepler_is_much_slower():
