@@ -11,13 +11,22 @@ to every destination GPU.  Two effects bound its throughput:
 The copy bandwidth is modelled as a zero-overhead *throttle link*
 prepended to each destination route, shared by all of the agent's
 transfers (the threads are one pool).
+
+No agent starts a process.  A ready chunk moves through a chain of
+engine callbacks (``Engine._call``) that a subclass's ``_dispatch``
+starts: a poll tick and a serialized dispatch, a driver launch, or a
+descriptor fetch.  The chain ends in :meth:`DecoupledAgent._send_chunk`,
+which passes one per-chunk countdown to every destination's
+``Route.transfer`` as its completion callable.  The last delivery runs
+the sanitizer's delivered/readable hooks and the subclass's
+completion, in the entry that delivers it.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import DEFAULT_MECHANISMS, ProactConfig
 from repro.errors import ProactError
@@ -143,6 +152,8 @@ class DecoupledAgent:
     # Hooks for subclasses
     # ------------------------------------------------------------------
     def _dispatch(self, nbytes: int, chunk: Optional[int] = None) -> None:
+        """Start the chunk's chain of engine callbacks; it ends in
+        :meth:`_send_chunk`, whose ``then`` calls :meth:`_end_send`."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -158,15 +169,24 @@ class DecoupledAgent:
                 and not self._drained.triggered):
             self._drained.succeed()
 
-    def _send_chunk(self, nbytes: int, chunk: Optional[int] = None):
-        """Generator: send one chunk's per-peer share to every destination."""
+    def _send_chunk(self, nbytes: int, chunk: Optional[int],
+                    then: Callable[[], None]) -> None:
+        """Send one chunk's per-peer share to every destination.
+
+        ``then()`` runs once every destination's transfer has delivered:
+        in the entry that delivers the last one, or before this returns
+        when none takes time (elided, or infinite bandwidth).
+        """
         per_dest_bytes = max(1, round(nbytes * self.peer_fraction))
         engine = self.system.engine
         metrics = engine.metrics
         sanitize = engine.sanitizer.enabled and chunk is not None
         if sanitize:
             engine.sanitizer.transfer_started(self.src_id, chunk, engine.now)
-        sends = []
+        countdown = None
+        if not self.elide_transfers:
+            countdown = _Countdown(self, chunk if sanitize else None,
+                                   per_dest_bytes, then)
         for dst in self.destinations:
             self.stats.sends_issued += 1
             self.stats.bytes_sent += per_dest_bytes
@@ -179,7 +199,7 @@ class DecoupledAgent:
             if sanitize:
                 engine.sanitizer.bytes_injected_for(
                     self.src_id, chunk, dst, per_dest_bytes, engine.now)
-            if self.elide_transfers:
+            if countdown is None:
                 # Elision skips the wire time, not the protocol: the
                 # bytes count as landed the moment they are issued.
                 if sanitize:
@@ -188,15 +208,44 @@ class DecoupledAgent:
                     engine.sanitizer.readable_signalled(
                         self.src_id, chunk, dst, engine.now)
                 continue
-            sends.append(
-                self._routes[dst].transfer(per_dest_bytes, self.access_size))
-        if sends:
-            yield engine.all_of(sends)
-            if sanitize:
-                # All destination transfers completed; the chunk's ready
-                # flags on the consumers may be raised only now.
-                for dst in self.destinations:
-                    engine.sanitizer.bytes_delivered_to(
-                        self.src_id, chunk, dst, per_dest_bytes, engine.now)
-                    engine.sanitizer.readable_signalled(
-                        self.src_id, chunk, dst, engine.now)
+            self._routes[dst].transfer(per_dest_bytes, self.access_size,
+                                       countdown)
+        if countdown is None:
+            then()
+
+
+class _Countdown:
+    """One chunk's broadcast in flight: the completion callable of each
+    of its destination transfers.
+
+    The last delivery raises the chunk's ready flags on the consumers
+    (for the sanitizer, when it follows ``chunk``) and runs ``then()``.
+    """
+
+    __slots__ = ("agent", "chunk", "per_dest_bytes", "then", "left")
+
+    def __init__(self, agent: DecoupledAgent, chunk: Optional[int],
+                 per_dest_bytes: int, then: Callable[[], None]) -> None:
+        self.agent = agent
+        self.chunk = chunk
+        self.per_dest_bytes = per_dest_bytes
+        self.then = then
+        self.left = len(agent.destinations)
+
+    def __call__(self) -> None:
+        self.left -= 1
+        if self.left:
+            return
+        chunk = self.chunk
+        if chunk is not None:
+            agent = self.agent
+            engine = agent.system.engine
+            # All destination transfers completed; the chunk's ready
+            # flags on the consumers may be raised only now.
+            for dst in agent.destinations:
+                engine.sanitizer.bytes_delivered_to(
+                    agent.src_id, chunk, dst, self.per_dest_bytes,
+                    engine.now)
+                engine.sanitizer.readable_signalled(
+                    agent.src_id, chunk, dst, engine.now)
+        self.then()

@@ -5,15 +5,23 @@ kernel that copies the chunk to every destination GPU.  Compared with
 polling, CDP consumes compute resources only *during* copies — but every
 launch pays a driver-serialized initiation latency, which is substantial
 and architecture-dependent (highest on Volta, Section V-A).
+
+The agent queues each chunk's child launch on its device's CDP launch
+queue (:meth:`~repro.runtime.device.Device.enqueue_cdp_launch`), the
+same FIFO ``Device.cdp_launch`` uses.  When the launch is up, a copy
+task joins the GPU's fluid share until the chunk's last destination
+transfer delivers.
 """
 
 from __future__ import annotations
 
 import typing
+from functools import partial
 from typing import List
 
 from repro.core.agents import DecoupledAgent
 from repro.core.config import ProactConfig
+from repro.hw.fluid import FluidTask
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.system import System
@@ -35,42 +43,35 @@ class CdpAgent(DecoupledAgent):
 
     def _dispatch(self, nbytes: int, chunk=None) -> None:
         self._begin_send()
-        self.system.engine.process(
-            self._launch_and_copy(nbytes, chunk),
-            name=f"cdp-send:gpu{self.src_id}")
-
-    def _launch_and_copy(self, nbytes: int, chunk=None):
-        engine = self.system.engine
-        device = self._device
         # Dynamic kernel launches funnel through the host driver one at a
         # time; this is the initiation-bound region of Figure 6.
-        launch_requested = engine.now
-        yield device.cdp_launcher.request()
-        try:
-            yield engine._sleep(device.spec.cdp_launch_latency)
-        finally:
-            device.cdp_launcher.release()
-        device.cdp_launch_count += 1
+        self._device.enqueue_cdp_launch(
+            partial(self._launched, nbytes, chunk, self.system.engine.now))
+
+    def _launched(self, nbytes: int, chunk, requested: float) -> None:
+        """The child kernel is up: copy the chunk to every peer."""
+        engine = self.system.engine
         if engine.tracer.enabled:
             engine.tracer.span(
-                launch_requested, engine.now,
+                requested, engine.now,
                 f"gpu{self.src_id}.agent", "cdp-launch",
                 payload={"bytes": nbytes})
         if engine.metrics.enabled:
             engine.metrics.inc("cdp_launches", src=self.src_id)
         # While the copy kernel runs, its threads occupy GPU resources —
         # unless the fluid_contention ablation turned that cost off.
-        copy_task = None
-        if self.fluid_contention:
-            gpu = self.system.gpus[self.src_id]
-            demand = gpu.spec.transfer_thread_demand(
-                self.config.transfer_threads)
-            copy_task = gpu.compute.launch(
-                f"gpu{self.src_id}.cdp-copy", work=float("inf"),
-                demand=max(demand, 1e-6))
-        try:
-            yield from self._send_chunk(nbytes, chunk)
-        finally:
-            if copy_task is not None:
-                self.system.gpus[self.src_id].compute.stop(copy_task)
+        if not self.fluid_contention:
+            self._send_chunk(nbytes, chunk, self._end_send)
+            return
+        gpu = self.system.gpus[self.src_id]
+        demand = gpu.spec.transfer_thread_demand(
+            self.config.transfer_threads)
+        copy_task = gpu.compute.launch(
+            f"gpu{self.src_id}.cdp-copy", work=float("inf"),
+            demand=max(demand, 1e-6))
+        self._send_chunk(nbytes, chunk, partial(self._copied, copy_task))
+
+    def _copied(self, copy_task: FluidTask) -> None:
+        """The copy kernel exits, releasing its share of the GPU."""
+        self.system.gpus[self.src_id].compute.stop(copy_task)
         self._end_send()

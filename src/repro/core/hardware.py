@@ -13,6 +13,9 @@ in advance.  Consequences, relative to the software prototype:
   launch or a poll-loop pass), with no host-driver involvement,
 * transfers still ride the same interconnect, so wire time is unchanged.
 
+Per chunk, the descriptor fetch is one engine callback that sends the
+chunk to every peer.
+
 The paper argues a hardware implementation would outperform the inline
 variant in all cases; the ablation harness
 (:mod:`repro.experiments.ablations`) quantifies that claim on this model.
@@ -21,6 +24,7 @@ variant in all cases; the ablation harness
 from __future__ import annotations
 
 import typing
+from functools import partial
 from typing import List
 
 from repro.core.agents import DecoupledAgent
@@ -63,21 +67,19 @@ class HardwareAgent(DecoupledAgent):
 
     def _dispatch(self, nbytes: int, chunk=None) -> None:
         self._begin_send()
-        self.system.engine.process(
-            self._engine_transfer(nbytes, chunk),
-            name=f"hw-send:gpu{self.src_id}")
+        self.system.engine._call(
+            HW_DESCRIPTOR_LATENCY,
+            partial(self._descriptor_fetched, nbytes, chunk))
 
-    def _engine_transfer(self, nbytes: int, chunk=None):
+    def _descriptor_fetched(self, nbytes: int, chunk=None) -> None:
         engine = self.system.engine
-        yield engine._sleep(HW_DESCRIPTOR_LATENCY)
         if engine.tracer.enabled:
             engine.tracer.record(
                 engine.now, f"gpu{self.src_id}.agent", "hw-descriptor",
                 payload={"bytes": nbytes})
         if engine.metrics.enabled:
             engine.metrics.inc("hw_descriptors", src=self.src_id)
-        yield from self._send_chunk(nbytes, chunk)
-        self._end_send()
+        self._send_chunk(nbytes, chunk, self._end_send)
 
 
 def _engine_equivalent_threads(system: "System", src_id: int) -> int:

@@ -11,19 +11,26 @@ costs are modelled:
   Kepler and mild on Pascal/Volta.
 * **Poll latency** — a chunk becoming ready waits for the next bitmap
   scan before its transfer starts.
+
+Per chunk, the poll tick is one engine callback.  The tick appends the
+chunk to the agent's dispatch queue, whose head is served by one
+``CHUNK_DISPATCH_OVERHEAD`` callback; that callback starts the next
+chunk's dispatch before it sends its own chunk, so chunks found at one
+instant leave the agent one dispatch overhead apart, in arrival order.
 """
 
 from __future__ import annotations
 
 import math
 import typing
-from typing import List
+from collections import deque
+from functools import partial
+from typing import Deque, List, Optional, Tuple
 
 from repro.core.agents import DecoupledAgent
 from repro.core.config import ProactConfig
 from repro.errors import ProactError
 from repro.hw.fluid import FluidTask
-from repro.sim.resources import Resource
 from repro.units import usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,7 +58,10 @@ class PollingAgent(DecoupledAgent):
         self._started = False
         self._resident_task: FluidTask | None = None
         self._started_at: float | None = None
-        self._dispatcher = Resource(system.engine, capacity=1)
+        # Chunks the bitmap scan found, in arrival order.  Per-chunk
+        # dispatch work serializes within the agent's warp group: the
+        # head chunk is being dispatched, the rest wait behind it.
+        self._pending: Deque[Tuple[int, Optional[int]]] = deque()
 
     # ------------------------------------------------------------------
     # Residency (resource steal)
@@ -92,18 +102,17 @@ class PollingAgent(DecoupledAgent):
         if not self._started:
             raise ProactError("chunk_ready() before the agent started")
         self._begin_send()
-        self.system.engine.process(
-            self._poll_then_send(nbytes, chunk),
-            name=f"poll-send:gpu{self.src_id}")
-
-    def _poll_then_send(self, nbytes: int, chunk=None):
         engine = self.system.engine
         # The chunk waits for the next bitmap scan tick.
         period = self.config.poll_period
         assert self._started_at is not None
         elapsed = engine.now - self._started_at
         wait = period - math.fmod(elapsed, period)
-        yield engine._sleep(wait)
+        engine._call(wait, partial(self._polled, nbytes, chunk, wait))
+
+    def _polled(self, nbytes: int, chunk, wait: float) -> None:
+        """The bitmap scan found the chunk: queue it for dispatch."""
+        engine = self.system.engine
         # The bitmap scan that found this chunk is an agent wakeup.
         if engine.tracer.enabled:
             engine.tracer.record(
@@ -113,11 +122,17 @@ class PollingAgent(DecoupledAgent):
             engine.metrics.inc("agent_polls", src=self.src_id)
             engine.metrics.observe("poll_wait_us", wait * 1e6,
                                    src=self.src_id)
-        # Per-chunk dispatch work serializes within the agent.
-        yield self._dispatcher.request()
-        try:
-            yield engine._sleep(CHUNK_DISPATCH_OVERHEAD)
-        finally:
-            self._dispatcher.release()
-        yield from self._send_chunk(nbytes, chunk)
-        self._end_send()
+        pending = self._pending
+        pending.append((nbytes, chunk))
+        if len(pending) == 1:
+            engine._call(CHUNK_DISPATCH_OVERHEAD, self._dispatched)
+
+    def _dispatched(self) -> None:
+        """The head chunk's dispatch work is done: start the next
+        chunk's, then send this one."""
+        pending = self._pending
+        nbytes, chunk = pending.popleft()
+        if pending:
+            self.system.engine._call(CHUNK_DISPATCH_OVERHEAD,
+                                     self._dispatched)
+        self._send_chunk(nbytes, chunk, self._end_send)

@@ -4,17 +4,24 @@
 CUDA-like runtime exposes:
 
 * ``launch_kernel`` — kernel launch latency, then fluid-share execution,
-  with externally visible progress-milestone events.
+  with externally visible progress-milestone events.  A milestone
+  event's waiters run in the heap entry of the fluid task's own
+  milestone, so a milestone costs no entry of its own.
 * ``memcpy_peer`` — DMA-engine bulk copy: host-side initiation overhead,
   engine serialization, then a max-payload-efficiency fabric transfer.
 * ``cdp_launch`` — CUDA Dynamic Parallelism: a driver-serialized launch
-  delay, then a child task on the GPU's compute fabric.
+  delay, then a child task on the GPU's compute fabric.  The driver is
+  one FIFO of launch callbacks per device, each served by one
+  ``Engine._call(cdp_launch_latency)``; CDP transfer agents queue their
+  child launches on it too (``enqueue_cdp_launch``).
 """
 
 from __future__ import annotations
 
 import typing
-from typing import Optional, Sequence
+from collections import deque
+from functools import partial
+from typing import Callable, Deque, Optional, Sequence
 
 from repro.errors import RuntimeApiError
 from repro.hw.gpu import Gpu
@@ -53,11 +60,13 @@ class KernelLaunch:
         self.started_at = engine.now
         task = device.gpu.compute.launch(
             self.name, self.work, self._demand, self._milestones)
+        # Each milestone's waiters run in the entry of the task's own
+        # milestone, not one entry later.
         for external, internal in zip(self.milestone_events,
                                       task.milestone_events):
             assert internal.callbacks is not None
             internal.callbacks.append(
-                lambda event, ext=external: ext.succeed(event.value))
+                lambda event, ext=external: ext._fire_now(event._value))
         yield task.done
         self.finished_at = engine.now
         return self
@@ -74,8 +83,10 @@ class Device:
         # Copy engines per GPU: cudaMemcpys beyond this count serialize
         # (one on most parts; Tesla-class GPUs ship two or three).
         self.dma_engine = Resource(engine, capacity=dma_engines)
-        # Dynamic kernel launches funnel through the host driver.
-        self.cdp_launcher = Resource(engine, capacity=1)
+        # Dynamic kernel launches funnel through the host driver one at
+        # a time: the callables of queued launches, the head one's launch
+        # in progress.
+        self._cdp_queue: Deque[Callable[[], None]] = deque()
         self.memcpy_count = 0
         self.cdp_launch_count = 0
 
@@ -129,25 +140,45 @@ class Device:
     # ------------------------------------------------------------------
     # CUDA Dynamic Parallelism
     # ------------------------------------------------------------------
-    def cdp_launch(self, name: str, work: float, demand: float) -> Process:
-        """Launch a dynamic (child) kernel; returns its completion process."""
+    def enqueue_cdp_launch(self, launched: Callable[[], None]) -> None:
+        """Queue a dynamic kernel launch at the host driver.
+
+        The driver launches one kernel at a time, in request order, each
+        taking ``spec.cdp_launch_latency``; ``launched()`` runs when this
+        one is up.
+        """
+        queue = self._cdp_queue
+        queue.append(launched)
+        if len(queue) == 1:
+            self.system.engine._call(self.spec.cdp_launch_latency,
+                                     self._cdp_launched)
+
+    def _cdp_launched(self) -> None:
+        """The head launch is up: start the next one, then run it."""
+        queue = self._cdp_queue
+        launched = queue.popleft()
+        if queue:
+            self.system.engine._call(self.spec.cdp_launch_latency,
+                                     self._cdp_launched)
+        self.cdp_launch_count += 1
+        launched()
+
+    def cdp_launch(self, name: str, work: float, demand: float) -> Event:
+        """Launch a dynamic (child) kernel; returns its completion event."""
         if work < 0:
             raise RuntimeApiError(f"negative CDP work: {work}")
-        return self.system.engine.process(
-            self._cdp(name, work, demand), name=f"cdp:{name}")
+        done = Event(self.system.engine)
+        self.enqueue_cdp_launch(
+            partial(self._cdp_run, name, work, demand, done))
+        return done
 
-    def _cdp(self, name: str, work: float, demand: float):
-        engine = self.system.engine
-        yield self.cdp_launcher.request()
-        try:
-            yield engine._sleep(self.spec.cdp_launch_latency)
-        finally:
-            self.cdp_launcher.release()
-        self.cdp_launch_count += 1
+    def _cdp_run(self, name: str, work: float, demand: float,
+                 done: Event) -> None:
         if work > 0:
             task = self.gpu.compute.launch(f"cdp:{name}", work, demand)
-            yield task.done
-        return self
+            task.done.callbacks.append(lambda _event: done.succeed(self))
+        else:
+            done.succeed(self)
 
     def __repr__(self) -> str:
         return f"<Device {self.device_id} {self.spec.name}>"

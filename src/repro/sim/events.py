@@ -77,6 +77,20 @@ class Event:
         self._trigger(ok=False, value=exception, priority=priority)
         return self
 
+    def _fire_now(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks at once, inside
+        the heap entry that is running, instead of in an entry of its
+        own.  For engine-internal relays of another event's firing."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self._triggered = True
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def _trigger(self, ok: bool, value: Any, priority: int) -> None:
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")

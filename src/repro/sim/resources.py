@@ -1,7 +1,9 @@
 """Shared-resource primitive built on the event engine.
 
-:class:`Resource` is a counted semaphore with FIFO queuing: a device's
-DMA engines and CDP launcher, and the polling agent's dispatcher.
+:class:`Resource` is a counted semaphore with FIFO queuing.  In the
+simulator it serves the devices' DMA engines (``Device.memcpy_peer``);
+callback-driven code such as the CDP launch queue and the polling
+agent's dispatcher keeps a plain FIFO instead.
 """
 
 from __future__ import annotations

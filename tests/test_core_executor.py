@@ -6,8 +6,10 @@ from repro.core import (
     CdpAgent,
     GpuPhaseWork,
     MECH_CDP,
+    MECH_HARDWARE,
     MECH_INLINE,
     MECH_POLLING,
+    Mechanisms,
     PollingAgent,
     ProactConfig,
     ProactPhaseExecutor,
@@ -15,9 +17,11 @@ from repro.core import (
     store_issue_work,
     tracking_overhead,
 )
+from repro.core.polling import CHUNK_DISPATCH_OVERHEAD
 from repro.errors import ProactError
 from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
 from repro.runtime import KernelSpec, System
+from repro.sim import Engine, Tracer
 from repro.units import KiB, MiB
 from tests.conftest import one_producer_phase, run_phase, volta_system
 
@@ -237,6 +241,99 @@ def test_cdp_agent_counts_launches():
     assert agent.stats.sends_issued == 15
 
 
+def test_cdp_agent_and_cdp_launch_share_the_driver_queue():
+    """Agent child kernels and user dynamic launches on one device go
+    through one driver queue, one launch latency apart, in FIFO order."""
+    system = volta_system(tracer=Tracer())
+    device = system.devices[0]
+    agent = CdpAgent(system, 0, ProactConfig(MECH_CDP, 64 * KiB, 512),
+                     destinations=[1])
+    agent.chunk_ready(64 * KiB)
+    launch = device.cdp_launch("user", work=0.0, demand=0.05)
+    launched_at = []
+    launch.callbacks.append(lambda _e: launched_at.append(system.now))
+    agent.chunk_ready(128 * KiB)
+    system.run(until=agent.close())
+    latency = device.spec.cdp_launch_latency
+    agent_launches = [(record.end, record.payload["bytes"])
+                      for record in system.tracer.channel("gpu0.agent")
+                      if record.label == "cdp-launch"]
+    assert agent_launches == [(pytest.approx(latency), 64 * KiB),
+                              (pytest.approx(3 * latency), 128 * KiB)]
+    assert launched_at == [pytest.approx(2 * latency)]
+    assert device.cdp_launch_count == 3
+
+
+def test_polling_dispatch_serializes_same_instant_chunks():
+    """Chunks one poll tick finds leave the dispatcher one dispatch
+    overhead apart, in the order they became ready."""
+    system = volta_system(tracer=Tracer())
+    config = ProactConfig(MECH_POLLING, 64 * KiB, 512)
+    agent = PollingAgent(system, 0, config, destinations=[1])
+    agent.start()
+    sizes = [64 * KiB, 192 * KiB, 128 * KiB]
+    for nbytes in sizes:
+        agent.chunk_ready(nbytes)
+    system.run(until=agent.close())
+    agent.stop()
+    sends = sorted((record.time, record.payload["bytes"])
+                   for record in system.tracer.channel("gpu0.transfer"))
+    tick = config.poll_period
+    assert sends == [
+        (pytest.approx(tick + k * CHUNK_DISPATCH_OVERHEAD), nbytes)
+        for k, nbytes in enumerate(sizes, start=1)]
+
+
+@pytest.mark.parametrize("mechanism",
+                         [MECH_POLLING, MECH_CDP, MECH_HARDWARE])
+def test_decoupled_phase_processes_do_not_grow_with_chunks(monkeypatch,
+                                                          mechanism):
+    """Agents drive chunks with engine callbacks: a phase starts as many
+    processes with 128 chunks as with 8."""
+    started = []
+    process = Engine.process
+
+    def counting_process(self, generator, name=None):
+        started.append(name)
+        return process(self, generator, name)
+
+    monkeypatch.setattr(Engine, "process", counting_process)
+
+    def processes(chunk_size):
+        started.clear()
+        system = volta_system()
+        run_phase(system, ProactConfig(mechanism, chunk_size, 1024),
+                  one_producer_phase(system, region_bytes=8 * MiB))
+        return len(started)
+
+    assert processes(64 * KiB) == processes(1 * MiB)
+
+
+def test_kernel_milestones_cost_no_entry_of_their_own():
+    """A kernel's milestone waiters (the agent's chunk intake) run in
+    the entry of the fluid task's milestone: milestones add as many heap
+    entries to a kernel launch as to a bare fluid task."""
+    milestones = [0.25, 0.5, 0.75, 1.0]
+
+    def kernel_entries(fractions):
+        system = volta_system()
+        launch = system.devices[0].launch_kernel(
+            "k", work=1e-3, milestones=fractions)
+        for event in launch.milestone_events:
+            event.callbacks.append(lambda _e: None)
+        system.run(until=launch.done)
+        return system.engine.events_fired
+
+    def task_entries(fractions):
+        system = volta_system()
+        task = system.gpus[0].compute.launch("k", 1e-3, 1.0, fractions)
+        system.run(until=task.done)
+        return system.engine.events_fired
+
+    assert (kernel_entries(milestones) - kernel_entries([])
+            == task_entries(milestones) - task_entries([]))
+
+
 def test_more_transfer_threads_speed_up_drain():
     def drain_time(threads):
         system = volta_system()
@@ -272,3 +369,69 @@ def test_error_raised_mid_phase_carries_simulation_time():
     assert err.value.sim_time == pytest.approx(1e-3)
     assert any("simulation time" in note
                for note in getattr(err.value, "__notes__", []))
+
+
+# ---------------------------------------------------------------------------
+# Tie-rule pins: exact runtimes of decoupled phases
+# ---------------------------------------------------------------------------
+#
+# Every GPU produces a 4 MiB region in 64 KiB chunks and pushes it to the
+# other three, so chunks of four agents contend on shared links and reach
+# the agents' dispatch queues at equal instants.  The runtimes are exact
+# (``==``): they pin the order in which same-instant engine entries run,
+# which a change to how agents schedule their work can move without
+# changing any modelled cost.
+
+def _all_producer_duration(platform, mechanism, infinite_bw=False,
+                           mechanisms=None):
+    system = System(platform, infinite_bw=infinite_bw,
+                    mechanisms=mechanisms)
+    flops = system.gpus[0].spec.flops * 5e-4
+    works = [GpuPhaseWork(kernel=KernelSpec(f"produce{gpu}", flops, 0, 4096),
+                          region_bytes=4 * MiB)
+             for gpu in range(system.num_gpus)]
+    return run_phase(system, ProactConfig(mechanism, 64 * KiB, 1024),
+                     works).duration
+
+
+@pytest.mark.parametrize("platform,mechanism,infinite_bw,expected", [
+    (PLATFORM_4X_KEPLER, MECH_POLLING, False, 0.0020495822222222227),
+    (PLATFORM_4X_KEPLER, MECH_POLLING, True, 0.0019925),
+    (PLATFORM_4X_KEPLER, MECH_CDP, False, 0.0018029880888888827),
+    (PLATFORM_4X_KEPLER, MECH_CDP, True, 0.00100102),
+    (PLATFORM_4X_KEPLER, MECH_HARDWARE, False, 0.0017812575530586708),
+    (PLATFORM_4X_KEPLER, MECH_HARDWARE, True, 0.0005064),
+    (PLATFORM_4X_VOLTA, MECH_POLLING, False, 0.0007690078933333332),
+    (PLATFORM_4X_VOLTA, MECH_POLLING, True, 0.0007644999999999999),
+    (PLATFORM_4X_VOLTA, MECH_CDP, False, 0.001806312493333332),
+    (PLATFORM_4X_VOLTA, MECH_CDP, True, 0.001801804599999999),
+    (PLATFORM_4X_VOLTA, MECH_HARDWARE, False, 0.0005079297889542091),
+    (PLATFORM_4X_VOLTA, MECH_HARDWARE, True, 0.0005049),
+])
+def test_decoupled_phase_runtime_pinned(platform, mechanism, infinite_bw,
+                                        expected):
+    assert _all_producer_duration(platform, mechanism,
+                                  infinite_bw) == expected
+
+
+@pytest.mark.parametrize("mechanisms,mechanism,expected", [
+    (Mechanisms(fluid_contention=False), MECH_POLLING,
+     0.0007570078933333333),
+    (Mechanisms(fluid_contention=False), MECH_CDP, 0.001806312493333332),
+    (Mechanisms(write_coalescing=False), MECH_POLLING,
+     0.0007691717333333332),
+    (Mechanisms(write_coalescing=False), MECH_CDP, 0.001806476333333332),
+    # Without readiness tracking every chunk is ready at kernel end: the
+    # whole region reaches each agent at one instant.
+    (Mechanisms(readiness_tracking=False), MECH_POLLING,
+     0.0006554078933333343),
+    (Mechanisms(readiness_tracking=False), MECH_CDP, 0.0021730078933333325),
+    (Mechanisms(readiness_tracking=False), MECH_HARDWARE,
+     0.000600827068954212),
+], ids=["fluid-off-poll", "fluid-off-cdp", "coalesce-off-poll",
+        "coalesce-off-cdp", "tracking-off-poll", "tracking-off-cdp",
+        "tracking-off-hw"])
+def test_ablated_decoupled_phase_runtime_pinned(mechanisms, mechanism,
+                                                expected):
+    assert _all_producer_duration(PLATFORM_4X_VOLTA, mechanism,
+                                  mechanisms=mechanisms) == expected
