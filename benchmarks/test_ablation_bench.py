@@ -2,8 +2,7 @@
 
 Runs the full baseline + single-flip run set across the paper's five
 applications on 4x Volta, persisting the ranked importance table and a
-``BENCH_ablation.json`` summary for the perf trajectory
-(``python -m repro.obs.bench_trend``).
+``BENCH_ablation.json`` summary, which CI loads and prints.
 
 Two gates ride on the numbers, both enforced in-test:
 

@@ -25,7 +25,7 @@ import json
 import os
 import time
 
-from repro.core.profiler import ProcessPoolBackend, Profiler
+from repro.core.profiler import Profiler
 from repro.hw import platform_by_name
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -65,8 +65,7 @@ def test_warm_worker_sweep_speedup(benchmark, results_dir):
     serial_s = time.perf_counter() - started
     assert len(serial.entries) >= MIN_SWEEP_CONFIGS
 
-    parallel_profiler = Profiler(platform,
-                                 backend=ProcessPoolBackend(BENCH_JOBS),
+    parallel_profiler = Profiler(platform, jobs=BENCH_JOBS,
                                  **_profiler_kwargs())
     parallel = benchmark.pedantic(
         parallel_profiler.profile, args=(builder,), rounds=1, iterations=1)
@@ -80,8 +79,7 @@ def test_warm_worker_sweep_speedup(benchmark, results_dir):
     search_started = time.perf_counter()
     searched = Profiler(platform, chunk_sizes=SWEEP_CHUNKS,
                         thread_counts=SWEEP_THREADS, search="search",
-                        backend=ProcessPoolBackend(BENCH_JOBS),
-                        ).profile(builder)
+                        jobs=BENCH_JOBS).profile(builder)
     search_s = time.perf_counter() - search_started
     assert searched.best.config == serial.best.config
     assert searched.best.runtime == serial.best.runtime
@@ -136,7 +134,7 @@ def test_sweep_telemetry_coverage_and_overhead(results_dir):
     builder = _workload().phase_builder()
 
     def sweep():
-        return Profiler(platform, backend=ProcessPoolBackend(BENCH_JOBS),
+        return Profiler(platform, jobs=BENCH_JOBS,
                         **_profiler_kwargs()).profile(builder)
 
     started = time.perf_counter()

@@ -181,22 +181,21 @@ class Session:
                 chunk_sizes: Optional[Sequence[int]] = None,
                 thread_counts: Optional[Sequence[int]] = None,
                 mechanisms: Optional[Sequence[str]] = None,
-                jobs: Optional[int] = None):
+                jobs: int = 1):
         """Run PROACT's compile-time profiler for ``workload``.
 
         ``strategy`` names the search mode (``"coordinate"``,
         ``"exhaustive"``, or ``"search"`` for the floor-seeded
         autotuner: the exhaustive argmin from fewer full measurements).
-        ``jobs`` selects the warm-worker process-pool backend.
+        ``jobs`` above 1 fans the sweep over that many warm workers.
         Returns a :class:`~repro.core.profiler.ProfileResult`.
         """
-        from repro.core.profiler import ProcessPoolBackend, Profiler
+        from repro.core.profiler import Profiler
         grid = {axis: values for axis, values in (
             ("chunk_sizes", chunk_sizes), ("thread_counts", thread_counts),
             ("mechanisms", mechanisms)) if values is not None}
         profiler = Profiler(
-            self.platform, **grid, search=strategy,
-            backend=ProcessPoolBackend(jobs) if jobs is not None else None,
+            self.platform, **grid, search=strategy, jobs=jobs,
             toggles=self.mechanisms)
         builder = (workload.phase_builder()
                    if hasattr(workload, "phase_builder") else workload)
@@ -206,7 +205,7 @@ class Session:
     def plan_collective(self, collective: str, nbytes: int, *,
                         algorithms: Optional[Sequence[str]] = None,
                         chunk_sizes: Optional[Sequence[int]] = None,
-                        jobs: Optional[int] = None):
+                        jobs: int = 1):
         """Tune (algorithm x chunk size) for one collective payload.
 
         The collective twin of :meth:`profile`: sweeps the grid on this
@@ -217,12 +216,11 @@ class Session:
         """
         from repro.collectives.tuner import CollectiveTuner
         from repro.core.config import PROFILE_CHUNK_SIZES
-        from repro.core.profiler import ProcessPoolBackend
         tuner = CollectiveTuner(
             self.platform, collective, algorithms=algorithms,
             chunk_sizes=(PROFILE_CHUNK_SIZES if chunk_sizes is None
                          else chunk_sizes),
-            backend=ProcessPoolBackend(jobs) if jobs is not None else None)
+            jobs=jobs)
         with self.scope():
             return tuner.tune(nbytes).best_choice
 

@@ -7,10 +7,10 @@ space per (application, platform) and bakes in the winner.
 each candidate on the simulated fabric and pick the fastest with a
 deterministic tie-break.
 
-Sweeps execute through the profiler's
-:class:`~repro.core.profiler.ExecutorBackend` seam, so
-``CollectiveTuner(platform, backend=ProcessPoolBackend(4))`` fans the
-grid over worker processes yet returns byte-identical measurements.
+Sweeps run through the profiler's
+:class:`~repro.core.profiler.SweepPool`, so
+``CollectiveTuner(platform, jobs=4)`` fans the grid over warm worker
+processes yet returns byte-identical measurements.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
 from repro.collectives.schedule import ALL_COLLECTIVES, COLL_ALL_REDUCE
 from repro.core.config import PROFILE_CHUNK_SIZES
-from repro.core.profiler import ExecutorBackend, ProcessPoolBackend
+from repro.core.profiler import SweepPool
 from repro.errors import CollectiveError
 from repro.hw.platform import PlatformSpec
 from repro.obs.capture import active as active_observation
@@ -113,7 +113,7 @@ class CollectiveTuner:
                  collective: str = COLL_ALL_REDUCE,
                  algorithms: Optional[Sequence[str]] = None,
                  chunk_sizes: Sequence[int] = PROFILE_CHUNK_SIZES,
-                 backend: Optional[ExecutorBackend] = None) -> None:
+                 jobs: int = 1) -> None:
         if collective not in ALL_COLLECTIVES:
             raise CollectiveError(
                 f"unknown collective {collective!r}; "
@@ -131,6 +131,8 @@ class CollectiveTuner:
                     f"{collective} on {platform.num_gpus} GPUs")
         if not algorithms or not chunk_sizes:
             raise CollectiveError("tuner needs non-empty sweep ranges")
+        if jobs < 1:
+            raise CollectiveError(f"need >= 1 job: {jobs}")
         for axis, values in (("algorithms", algorithms),
                              ("chunk_sizes", chunk_sizes)):
             if len(set(values)) != len(values):
@@ -139,7 +141,7 @@ class CollectiveTuner:
         self.collective = collective
         self.algorithms = tuple(algorithms)
         self.chunk_sizes = tuple(sorted(chunk_sizes))
-        self.backend = backend or ProcessPoolBackend(1)
+        self.jobs = jobs
 
     def tune(self, nbytes: int) -> CollectiveTuneResult:
         """Sweep the grid for one payload size."""
@@ -148,11 +150,11 @@ class CollectiveTuner:
             for algorithm in self.algorithms
             for chunk_size in self.chunk_sizes]
         # Candidate runs build throwaway systems; keep them out of the
-        # ambient trace so observed runs look identical across backends
+        # ambient trace so observed runs look identical at any job count
         # (workers never see the parent's scope).
         with suppress_observation(), \
-                self.backend.open_session(measure_candidate) as session:
-            entries = session.map(tasks)
+                SweepPool(measure_candidate, self.jobs) as pool:
+            entries = pool.map(tasks)
         result = CollectiveTuneResult(collective=self.collective,
                                       nbytes=nbytes, entries=entries)
         self._observe(nbytes, entries)

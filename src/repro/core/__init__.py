@@ -39,9 +39,7 @@ from repro.core.program import (
     proact_init,
 )
 from repro.core.profiler import (
-    ExecutorBackend,
     PhaseBuilder,
-    ProcessPoolBackend,
     ProfileEntry,
     Profiler,
     ProfileResult,
@@ -97,8 +95,6 @@ __all__ = [
     "PhaseResult",
     "ProactPhaseExecutor",
     "Profiler",
-    "ExecutorBackend",
-    "ProcessPoolBackend",
     "measure_config",
     "ProactDataStructure",
     "CtaContext",

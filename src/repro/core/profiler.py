@@ -35,45 +35,44 @@ minimum.  Every entry the exhaustive sweep would rank first — including
 all runtime ties — is therefore measured, and :attr:`ProfileResult.best`
 is identical to brute force.  Serially the sweep measures exactly the
 candidates whose floor does not exceed the best runtime, the least any
-floor-pruned search can measure.  On a parallel backend it measures one
-backend-width wave at a time, re-checking floors against the freshest
-incumbent between waves.
+floor-pruned search can measure.  With ``jobs=N`` it measures ``N``
+candidates per wave, re-checking floors against the freshest incumbent
+between waves.
 
-Execution backends
-------------------
+Sweep pool
+----------
 
 Every measurement is an independent pure function of
 ``(platform, config, phase_builder)``, which makes the sweep
-embarrassingly parallel.  The profiler hands its measurements to an
-:class:`ExecutorBackend`, whose one entry point ``open_session(fn)``
-returns a :class:`TaskSession` that maps waves of tasks through ``fn``:
+embarrassingly parallel.  Its one orchestration choice is how many
+candidates run at once: ``Profiler(..., jobs=N)``.  Each ``profile()``
+call opens one :class:`SweepPool` that maps waves of tasks through a
+task function.  At ``jobs=1`` (the default) it measures in-process, one
+by one, and imports no pool machinery.
 
-* :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep
-  (``jobs=1``, the default, measures in-process, one by one).
-
-The warm-worker protocol is what makes parallel sweeps actually pay off:
-the profiler opens one session per ``profile()`` call, the backend ships
-the pickled sweep context (platform + phase builder, the expensive part)
-to each worker exactly once at pool init, and every subsequent task
-crossing the queue is a lightweight config delta — ``(mechanism,
-chunk_size, threads, kind)`` tuples — batched to amortize queue
-round-trips.  Results come back in task order, so both backends produce
-byte-identical :class:`ProfileEntry` lists.
+Above one job the pool keeps **warm workers** for the sweep, which is
+what makes parallel sweeps actually pay off: the pickled sweep context
+(platform + phase builder, the expensive part) ships to each worker
+exactly once at pool init, and every subsequent task crossing the queue
+is a lightweight config delta — ``(mechanism, chunk_size, threads,
+kind)`` tuples — batched to amortize queue round-trips.  Results come
+back in task order, so serial and pooled sweeps produce byte-identical
+:class:`ProfileEntry` lists.
 
 A worker process that dies mid-sweep (OOM kill, segfault, ``os._exit``)
 surfaces as a :class:`~repro.errors.ProactError` naming every unfinished
-task instead of poisoning the pool silently.
+batch's tasks instead of poisoning the pool silently.
 
 Ties on runtime are broken toward the smallest ``(chunk_size,
 transfer_threads)`` (then mechanism name), so the chosen configuration is
-reproducible across search modes, backends, and entry orderings.
+reproducible across search modes, job counts, and entry orderings.
 
 Sweep telemetry
 ---------------
 
 Candidate simulations always run unobserved (``suppress`` around every
 ``session.map``) — that is what keeps sweep results byte-identical
-across backends and captures.  Under ``capture(sweeps=True)`` the sweep
+across job counts and captures.  Under ``capture(sweeps=True)`` the sweep
 itself becomes observable instead: every task function is wrapped in a
 :class:`_TelemetryFn` that stamps wall-clock start/end, worker pid, and
 batch id in the worker, and the parent-side :class:`_TelemetrySession`
@@ -105,6 +104,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.core.config import (
@@ -150,7 +150,7 @@ def _entry_order(entry: ProfileEntry) -> Tuple[float, int, int, str]:
     Runtime ties resolve toward the smallest ``(chunk_size,
     transfer_threads)`` and finally the mechanism name, so the winner
     does not depend on the order entries were measured in (coordinate
-    vs. exhaustive search, serial vs. parallel backends).
+    vs. exhaustive search, serial vs. pooled sweeps).
     """
     return (entry.runtime, entry.config.chunk_size,
             entry.config.transfer_threads, entry.config.mechanism)
@@ -221,7 +221,7 @@ def measure_config(platform: PlatformSpec, config: ProactConfig,
                    toggles: Optional[Mechanisms] = None) -> ProfileEntry:
     """Measure one configuration (the profiler's unit of work).
 
-    A module-level pure function so executor backends can ship it to
+    A module-level pure function so a :class:`SweepPool` can ship it to
     worker processes.
     """
     runtime = run_phases(platform, config, phase_builder, toggles=toggles)
@@ -268,7 +268,7 @@ _WORKER_FN: Optional[Callable[[Any], Any]] = None
 
 #: Worker-global batch counter, bumped per ``_warm_worker_batch`` call,
 #: so telemetry records can be grouped back into their true queue
-#: batches (an in-process session leaves it at 0: one map call, one batch).
+#: batches (an in-process pool leaves it at 0: one map call, one batch).
 _WORKER_BATCH: int = 0
 
 
@@ -304,72 +304,53 @@ def _validated_task(fn: Callable[[Any], Any],
     return result, scope.summary()
 
 
-class TaskSession:
-    """One sweep's scope on a backend.
+class SweepPool:
+    """Runs one sweep's tasks through ``fn``, returning results in order.
 
-    The task function is shipped to the workers once when the session
-    opens; :meth:`map` then streams lightweight tasks (batched on
-    parallel backends) and returns results in task order.  Use as a
-    context manager so worker pools are torn down deterministically.
-    """
-
-    def map(self, tasks: Sequence[Any]) -> List[Any]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources held for the sweep (idempotent)."""
-
-    def __enter__(self) -> "TaskSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class _InProcessSession(TaskSession):
-    """Runs every task in the calling process, in task order."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-
-    def map(self, tasks: Sequence[Any]) -> List[Any]:
-        return [self.fn(task) for task in tasks]
-
-
-class _WarmPoolSession(TaskSession):
-    """A persistent worker pool with the task function pre-installed.
-
-    The pool forks/spawns once per sweep; ``initargs`` carries the
-    pickled task function, so the platform and phase builder cross the
-    process boundary a single time instead of once per candidate.  Tasks
-    are streamed in batches — enough batches per worker that uneven
-    candidate costs still balance, few enough that queue overhead stays
-    negligible.  Under an ambient validation every task is validated in
-    its worker and the counters fold into the parent's scope.
+    At ``jobs=1`` :meth:`map` is a plain in-process loop.  Above that
+    the pool forks/spawns ``jobs`` warm workers once per sweep:
+    ``initargs`` carries the pickled task function, so the platform and
+    phase builder cross the process boundary a single time instead of
+    once per candidate.  Tasks are streamed in batches — enough batches
+    per worker that uneven candidate costs still balance, few enough
+    that queue overhead stays negligible.  Both the function and every
+    task must then be picklable (platform specs, configs, collective
+    tuning candidates, and the workloads' bound ``build_phases`` methods
+    all are).  Under an ambient validation every task is validated in
+    its worker and the counters fold into the parent's scope.  Use as a
+    context manager so the workers are torn down deterministically.
     """
 
     #: Batches submitted per worker: load-balance vs. queue overhead.
     BATCHES_PER_WORKER = 8
 
-    def __init__(self, fn: Callable[[Any], Any], jobs: int) -> None:
+    def __init__(self, fn: Callable[[Any], Any], jobs: int = 1) -> None:
+        if jobs < 1:
+            raise ProactError(f"need >= 1 job: {jobs}")
+        self.fn = fn
+        self.jobs = jobs
+        self._validation = None
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        if jobs == 1:
+            return
         # The pool stack (multiprocessing, pickle) loads only here, so
         # serial sweeps never import it.
         import concurrent.futures
         import pickle
-        self.jobs = jobs
         self._validation = active_validation()
         if self._validation is not None:
             fn = functools.partial(_validated_task, fn)
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = (
-            concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_warm_worker_init,
-                initargs=(pickle.dumps(fn),)))
+        self._pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_warm_worker_init,
+            initargs=(pickle.dumps(fn),))
 
     def map(self, tasks: Sequence[Any]) -> List[Any]:
+        if self.jobs == 1:
+            return [self.fn(task) for task in tasks]
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
         if self._pool is None:
-            raise ProactError("task session already closed")
+            raise ProactError("sweep pool already closed")
         tasks = list(tasks)
         if not tasks:
             return []
@@ -402,68 +383,16 @@ class _WarmPoolSession(TaskSession):
         return results
 
     def close(self) -> None:
+        """Shut the workers down (idempotent; a no-op at ``jobs=1``)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
+    def __enter__(self) -> "SweepPool":
+        return self
 
-# ---------------------------------------------------------------------------
-# Executor backends
-# ---------------------------------------------------------------------------
-
-class ExecutorBackend:
-    """Strategy for running one sweep's independent tasks.
-
-    ``open_session(fn)`` ships a picklable pure function to the
-    execution substrate once; the returned :class:`TaskSession` then
-    maps many waves of lightweight tasks through it, returning results
-    in task order.  The profiler and the collective tuner
-    (:mod:`repro.collectives.tuner`) both sweep through this seam, so
-    any embarrassingly parallel measurement loop gets serial and
-    process-pool execution for free.
-
-    ``parallelism`` is how many tasks the backend can usefully run at
-    once; the search sweep uses it to size its measurement waves (one
-    incumbent update per wave).
-    """
-
-    #: Concurrent task capacity (wave sizing for the search sweep).
-    parallelism: int = 1
-
-    def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
-        raise NotImplementedError
-
-
-class ProcessPoolBackend(ExecutorBackend):
-    """Fan tasks out over warm worker processes.
-
-    Each simulation is an independent pure function of its task, so
-    worker results are byte-identical to a serial run; only wall-clock
-    time changes.  Both the function and every task must be picklable
-    (platform specs, configs, collective tuning candidates, and the
-    workloads' bound ``build_phases`` methods all are).
-
-    The pool is *warm*: opened once per session with the task function
-    pre-installed in every worker, after which only small task tuples
-    cross the queue (see the module docstring).  ``jobs=1`` runs
-    in-process, one task at a time.  A worker that dies
-    mid-sweep raises :class:`~repro.errors.ProactError` naming every
-    unfinished batch.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ProactError(f"need >= 1 job: {jobs}")
-        self.jobs = jobs
-
-    @property
-    def parallelism(self) -> int:  # type: ignore[override]
-        return self.jobs
-
-    def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
-        if self.jobs == 1:
-            return _InProcessSession(fn)
-        return _WarmPoolSession(fn, self.jobs)
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +431,8 @@ class _TelemetryFn:
                            started, time.time(), task)
 
 
-class _TelemetrySession(TaskSession):
-    """Wraps any :class:`TaskSession` whose fn is a :class:`_TelemetryFn`.
+class _TelemetrySession:
+    """Wraps a :class:`SweepPool` whose fn is a :class:`_TelemetryFn`.
 
     Unwraps each wave's :class:`_TaskRecord` envelopes in task order (so
     callers see exactly the results they would without telemetry) and
@@ -514,7 +443,7 @@ class _TelemetrySession(TaskSession):
     :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
     """
 
-    def __init__(self, inner: TaskSession,
+    def __init__(self, inner: SweepPool,
                  telemetry: "_SweepTelemetry") -> None:
         self.inner = inner
         self.telemetry = telemetry
@@ -524,9 +453,6 @@ class _TelemetrySession(TaskSession):
         submitted = time.time()
         records = self.inner.map(tasks)
         return self._merge(records, submitted)
-
-    def close(self) -> None:
-        self.inner.close()
 
     def _lane(self, pid: int) -> str:
         lane = self._worker_lanes.get(pid)
@@ -575,6 +501,10 @@ class _TelemetrySession(TaskSession):
         return results
 
 
+#: What a sweep maps its waves through: the pool, or its telemetry wrapper.
+_Session = Union[SweepPool, _TelemetrySession]
+
+
 class _SweepTelemetry:
     """Parent-side writer of one sweep's decision log.
 
@@ -583,8 +513,8 @@ class _SweepTelemetry:
     tracking (same :func:`_entry_order` tie-breaks as
     :attr:`ProfileResult.best`, so the decision log's final incumbent is
     the sweep's actual winner).  Without ``capture(sweeps=True)`` every
-    method is a cheap early return and the task session is never
-    wrapped, so sweeps pay nothing.
+    method is a cheap early return and the pool is never wrapped, so
+    sweeps pay nothing.
     """
 
     def __init__(self, observation: Optional[Observation],
@@ -645,7 +575,7 @@ class Profiler:
                  thread_counts: Sequence[int] = PROFILE_THREAD_COUNTS,
                  mechanisms: Sequence[str] = ALL_MECHANISMS,
                  search: str = "coordinate",
-                 backend: Optional[ExecutorBackend] = None,
+                 jobs: int = 1,
                  toggles: Optional[Mechanisms] = None) -> None:
         if search not in SEARCH_MODES:
             raise ProactError(
@@ -653,6 +583,8 @@ class Profiler:
                 f"expected one of {SEARCH_MODES}")
         if not chunk_sizes or not thread_counts or not mechanisms:
             raise ProactError("profiler needs non-empty sweep ranges")
+        if jobs < 1:
+            raise ProactError(f"need >= 1 job: {jobs}")
         for axis, values in (("chunk_sizes", chunk_sizes),
                              ("thread_counts", thread_counts),
                              ("mechanisms", mechanisms)):
@@ -675,7 +607,8 @@ class Profiler:
         self.mechanisms = tuple(mechanisms)
         #: The configured mode: one of :data:`SEARCH_MODES`.
         self.search_mode = search
-        self.backend = backend or ProcessPoolBackend(1)
+        #: Candidates measured at once (:class:`SweepPool` workers).
+        self.jobs = jobs
 
     def _sweep_telemetry(self) -> _SweepTelemetry:
         """Per-sweep telemetry controller (inert unless opted in)."""
@@ -683,23 +616,6 @@ class Profiler:
         if observation is not None and not observation.sweeps:
             observation = None
         return _SweepTelemetry(observation, platform=self.platform.name)
-
-    def _open_session(self, phase_builder: PhaseBuilder,
-                      telemetry: _SweepTelemetry) -> TaskSession:
-        """One warm session per sweep: platform + builder ship once.
-
-        Under ``capture(sweeps=True)`` the task function is wrapped in
-        :class:`_TelemetryFn` (workers stamp timing envelopes) and the
-        session in :class:`_TelemetrySession` (the parent unwraps and
-        merges them); otherwise both layers are absent entirely.
-        """
-        fn: Callable[[Any], Any] = functools.partial(
-            _sweep_task, self.platform, phase_builder,
-            toggles=self.toggles)
-        if telemetry.observation is None:
-            return self.backend.open_session(fn)
-        return _TelemetrySession(
-            self.backend.open_session(_TelemetryFn(fn)), telemetry)
 
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
         """Run the sweep for one application.
@@ -709,11 +625,24 @@ class Profiler:
         one wave, coordinate search runs a chunk wave and then a thread
         wave, and ``search="search"`` measures best-first by floor (see
         the module docstring).  Exhaustive and coordinate entries are
-        identical, in identical order, on any backend; a search sweep's
-        winner is.
+        identical, in identical order, at any job count; a search
+        sweep's winner is.
+
+        One :class:`SweepPool` serves the whole sweep, so the platform
+        and builder ship to its workers once.  Under
+        ``capture(sweeps=True)`` the task function is wrapped in
+        :class:`_TelemetryFn` (workers stamp timing envelopes) and the
+        pool in :class:`_TelemetrySession` (the parent unwraps and
+        merges them); otherwise both layers are absent entirely.
         """
         telemetry = self._sweep_telemetry()
-        with self._open_session(phase_builder, telemetry) as session:
+        observed = telemetry.observation is not None
+        fn = functools.partial(_sweep_task, self.platform, phase_builder,
+                               toggles=self.toggles)
+        with SweepPool(_TelemetryFn(fn) if observed else fn,
+                       self.jobs) as pool:
+            session: _Session = (_TelemetrySession(pool, telemetry)
+                                 if observed else pool)
             if self.search_mode == "search":
                 result = self._profile_search(session, telemetry)
             elif self.search_mode == "coordinate":
@@ -746,12 +675,12 @@ class Profiler:
         return grid
 
     def _measure(self, configs: Sequence[ProactConfig],
-                 session: TaskSession, telemetry: _SweepTelemetry,
+                 session: _Session, telemetry: _SweepTelemetry,
                  ) -> List[ProfileEntry]:
         """Fully measure one wave of configs, in order."""
         # Candidate measurements build hundreds of throwaway systems;
         # suppress the ambient observation so they do not flood the
-        # trace (and so serial and process-pool backends — where workers
+        # trace (and so serial and pooled sweeps — where workers
         # never see the parent's scope — observe identically).  The
         # per-candidate timings themselves are published afterwards.
         with suppress_observation():
@@ -761,7 +690,7 @@ class Profiler:
         return entries
 
     def _floors(self, candidates: Sequence[ProactConfig],
-                session: TaskSession, telemetry: _SweepTelemetry,
+                session: _Session, telemetry: _SweepTelemetry,
                 ) -> Dict[ProactConfig, float]:
         """Infinite-bandwidth lower bounds for every candidate."""
         with suppress_observation():
@@ -770,7 +699,7 @@ class Profiler:
         telemetry.floors_done(floors)
         return floors
 
-    def _profile_coordinate(self, session: TaskSession,
+    def _profile_coordinate(self, session: _Session,
                             telemetry: _SweepTelemetry) -> ProfileResult:
         """Chunks at the top thread count, then threads at the best chunk.
 
@@ -794,7 +723,7 @@ class Profiler:
         return ProfileResult(entries=[entry for entries in grouped.values()
                                       for entry in entries])
 
-    def _profile_search(self, session: TaskSession,
+    def _profile_search(self, session: _Session,
                         telemetry: _SweepTelemetry) -> ProfileResult:
         """Best-first branch-and-bound over the floor-ranked grid."""
         candidates = self._full_grid()
@@ -802,14 +731,13 @@ class Profiler:
         # Best-first: smallest floor first, ties toward the smallest config.
         ranked = sorted(candidates,
                         key=lambda c: (floors[c], _config_order(c)))
-        wave_size = max(1, self.backend.parallelism)
         entries: List[ProfileEntry] = []
         incumbent = math.inf
         # Floors ascend and the incumbent only drops, so the candidates
         # still in contention are always a prefix of what is left.
         while len(entries) < len(ranked):
             wave = [config for config in
-                    ranked[len(entries):len(entries) + wave_size]
+                    ranked[len(entries):len(entries) + self.jobs]
                     if floors[config] <= incumbent]
             if not wave:
                 break

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.profiler import ProcessPoolBackend, Profiler
+from repro.core.profiler import Profiler
 from repro.errors import ProactError
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
@@ -35,8 +35,7 @@ FULL_THREAD_COUNTS = (512, 1024, 2048, 4096, 8192)
 def _profiler(platform: PlatformSpec, search: str,
               thread_counts: Sequence[int], jobs: int) -> Profiler:
     return Profiler(platform, chunk_sizes=SWEEP_CHUNK_SIZES,
-                    thread_counts=thread_counts, search=search,
-                    backend=ProcessPoolBackend(jobs))
+                    thread_counts=thread_counts, search=search, jobs=jobs)
 
 
 def run(platform: Optional[PlatformSpec] = None,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PROFILE_CHUNK_SIZES, PROFILE_THREAD_COUNTS
-from repro.core.profiler import ProcessPoolBackend, Profiler
+from repro.core.profiler import Profiler
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import FOUR_GPU_PLATFORMS, PlatformSpec
@@ -72,7 +72,7 @@ def run(platforms: Sequence[PlatformSpec] = FOUR_GPU_PLATFORMS,
     for platform in platforms:
         profiler = Profiler(platform, chunk_sizes=chunk_sizes,
                             thread_counts=thread_counts, search=search,
-                            backend=ProcessPoolBackend(jobs))
+                            jobs=jobs)
         for workload in workload_list:
             profile = profiler.profile(workload.phase_builder())
             best = profile.best

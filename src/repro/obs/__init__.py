@@ -18,9 +18,9 @@ The pieces, designed to cost nothing when disabled:
   Chrome trace event format (one pid per GPU, one tid per lane), ready
   for ``chrome://tracing`` or https://ui.perfetto.dev.
 * :mod:`~repro.obs.report` — folds trace + metrics + decisions into one
-  markdown/JSON run report (runner ``--report``);
-  :mod:`~repro.obs.bench_trend` tabulates the repo's ``BENCH_*.json``
-  perf trajectory.
+  markdown/JSON run report (runner ``--report``).  The simulator's own
+  perf ledger is not here: ``bench/run.py --compare`` diffs two
+  committed ``BENCH_*.json`` results.
 
 Typical use, via the experiment runner::
 

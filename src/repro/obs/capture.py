@@ -13,7 +13,8 @@ The scope is a :mod:`contextvars` variable, so worker processes and
 threads each see their own observation (or none).  :func:`suppress`
 masks the ambient scope — the profiler uses it so that configuration
 sweeps (hundreds of throwaway systems) do not flood the trace, keeping
-observed runs identical across serial and process-pool backends.
+observed runs identical at any sweep job count (pool workers never see
+the parent's scope).
 
 Sweep telemetry is a separate, explicit opt-in: ``capture(sweeps=True)``
 (or ``Session(sweeps=True)``).  The *simulated* candidate runs stay

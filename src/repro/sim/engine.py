@@ -30,9 +30,6 @@ result:
   ``(time, priority, seq, fn)`` runs ``fn()`` under the same ordering
   key, sequence numbering and ``events_fired`` count an event would
   have, so only the event object and its callback list are saved.
-* **Single-event waits** — ``all_of`` over exactly one event returns a
-  :class:`~repro.sim.events._SingleWait` that skips the condition
-  machinery while firing with the identical value.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from repro.sim.events import (
     AllOf,
     Event,
     Timeout,
-    _SingleWait,
     _Sleep,
 )
 from repro.sim.process import Process
@@ -126,9 +122,6 @@ class Engine:
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """Create an event that fires when all ``events`` have fired."""
-        events = list(events)
-        if len(events) == 1:
-            return _SingleWait(self, events[0])
         return AllOf(self, events)
 
     # ------------------------------------------------------------------

@@ -132,36 +132,6 @@ class _Sleep(float):
     __slots__ = ()
 
 
-class _SingleWait(Event):
-    """Fast path for ``all_of`` over exactly one event.
-
-    Behaviourally identical to :class:`AllOf` with a single
-    constituent — fires with ``{event: value}``, propagates the
-    constituent's failure — but skips the condition machinery (list
-    copy, per-event engine check, remaining counter, value scan).
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, engine: "Engine", event: Event) -> None:
-        super().__init__(engine)
-        if event.engine is not engine:
-            raise SimulationError("cannot mix events from different engines")
-        self._event = event
-        if event._processed:
-            self._on_event(event)
-        else:
-            event.callbacks.append(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed({event: event._value})
-
-
 class AllOf(Event):
     """Fires when every constituent event has fired.
 

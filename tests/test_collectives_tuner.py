@@ -1,4 +1,4 @@
-"""Tuner tests: sweep determinism across backends and input validation."""
+"""Tuner tests: sweep determinism across job counts and input validation."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.collectives import (
     CollectiveChoice,
     CollectiveTuner,
 )
-from repro.core.profiler import ProcessPoolBackend
 from repro.errors import CollectiveError
 from repro.hw.platform import PLATFORMS
 from repro.units import KiB, MiB
@@ -38,9 +37,9 @@ def test_tuner_sweeps_full_grid_and_orders_deterministically():
 
 def test_tuner_pick_identical_across_serial_and_process_pool():
     serial = CollectiveTuner(VOLTA, COLL_ALL_REDUCE, chunk_sizes=CHUNKS,
-                             backend=ProcessPoolBackend(jobs=1))
+                             jobs=1)
     pooled = CollectiveTuner(VOLTA, COLL_ALL_REDUCE, chunk_sizes=CHUNKS,
-                             backend=ProcessPoolBackend(jobs=4))
+                             jobs=4)
     a = serial.tune(4 * MiB)
     b = pooled.tune(4 * MiB)
     assert a.entries == b.entries  # byte-identical measurements

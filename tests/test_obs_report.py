@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs.bench_trend import load_bench_results, main, trend_table
 from repro.obs.report import (
     build_run_report,
     histogram_rows,
@@ -139,47 +138,3 @@ def test_write_report_json_and_markdown(tmp_path):
     md_path = tmp_path / "r.md"
     write_report(md_path, report)
     assert md_path.read_text().startswith("# T")
-
-
-# ---------------------------------------------------------------------------
-# bench_trend
-# ---------------------------------------------------------------------------
-
-def _write_bench(directory, name, payload):
-    (directory / f"BENCH_{name}.json").write_text(json.dumps(payload))
-
-
-def test_load_bench_results_sorted_and_tolerant(tmp_path):
-    _write_bench(tmp_path, "zeta", {"speedup": 2.0})
-    _write_bench(tmp_path, "alpha", {"serial_s": 1.0})
-    (tmp_path / "BENCH_broken.json").write_text("{not json")
-    (tmp_path / "OTHER.json").write_text("{}")  # ignored: wrong prefix
-    results = load_bench_results(tmp_path)
-    assert [r["benchmark"] for r in results] == ["alpha", "broken", "zeta"]
-    assert "error" in results[1]
-    assert results[0]["_file"] == "BENCH_alpha.json"
-
-
-def test_trend_table_headline_and_all_columns(tmp_path):
-    _write_bench(tmp_path, "a", {"speedup": 2.0, "gate_enforced": False,
-                                 "custom_scalar": 7})
-    results = load_bench_results(tmp_path)
-    table = trend_table(results)
-    assert "benchmark" in table and "speedup" in table
-    assert "2" in table and "no" in table
-    assert "custom_scalar" not in table  # not a headline column
-    assert "custom_scalar" in trend_table(results, show_all=True)
-
-
-def test_bench_trend_main(tmp_path, capsys):
-    _write_bench(tmp_path, "a", {"speedup": 1.5})
-    out_json = tmp_path / "trend.json"
-    assert main([str(tmp_path), "--json", str(out_json)]) == 0
-    assert "speedup" in capsys.readouterr().out
-    assert json.loads(out_json.read_text())["benchmarks"][0][
-        "benchmark"] == "a"
-
-
-def test_bench_trend_main_empty_directory_fails(tmp_path, capsys):
-    assert main([str(tmp_path)]) == 1
-    assert "no BENCH_" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Tests for PROACT's compile-time profiler."""
 
 import os
+import re
 
 import pytest
 
 from repro.api import Session
+from repro.collectives.tuner import CollectiveTuner
 from repro.core import (
     MECH_CDP,
     MECH_INLINE,
@@ -14,11 +16,9 @@ from repro.core import (
     tracking_overhead,
 )
 from repro.core.profiler import (
-    ExecutorBackend,
-    ProcessPoolBackend,
     ProfileEntry,
     ProfileResult,
-    TaskSession,
+    SweepPool,
     run_phases,
 )
 from repro.errors import CollectiveError, ProactError
@@ -134,7 +134,7 @@ def test_best_for_mechanism_unknown_rejected():
 def test_best_breaks_ties_toward_smallest_config():
     # Ties on runtime must resolve to the smallest (chunk, threads)
     # independent of entry order, so coordinate and exhaustive search
-    # (and any executor backend) agree on the winner.
+    # (at any job count) agree on the winner.
     entries = [
         ProfileEntry(ProactConfig(MECH_POLLING, 1 * MiB, 4096), 2.0),
         ProfileEntry(ProactConfig(MECH_POLLING, 128 * KiB, 4096), 2.0),
@@ -170,21 +170,20 @@ def test_parallel_profiler_matches_serial_exactly():
         parallel = Profiler(
             PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
             thread_counts=SMALL_THREADS, search=search,
-            backend=ProcessPoolBackend(4)).profile(builder)
+            jobs=4).profile(builder)
         assert serial.entries == parallel.entries
         assert serial.best == parallel.best
 
 
 def test_parallel_pruned_sweep_matches_serial_argmin():
-    # The search sweep sizes its best-first waves by the backend's
-    # parallelism; the skip condition is still strict, so the
+    # The search sweep sizes its best-first waves by the job count;
+    # the skip condition is still strict, so the
     # winner — config and bitwise runtime — must match brute force.
     builder = small_pagerank().phase_builder()
     kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS)
     brute = Profiler(PLATFORM_4X_VOLTA, search="exhaustive",
                      **kwargs).profile(builder)
-    parallel = Profiler(PLATFORM_4X_VOLTA, search="search",
-                        backend=ProcessPoolBackend(2),
+    parallel = Profiler(PLATFORM_4X_VOLTA, search="search", jobs=2,
                         **kwargs).profile(builder)
     assert parallel.best.config == brute.best.config
     assert parallel.best.runtime == brute.best.runtime
@@ -207,69 +206,39 @@ def test_dying_worker_surfaces_error_with_offending_tasks():
     # Regression: a worker death used to poison the pool and hang or
     # surface as a bare BrokenProcessPool with no hint of which config
     # was in flight.
-    backend = ProcessPoolBackend(jobs=2)
-    with backend.open_session(_crash_on_three) as session:
-        with pytest.raises(ProactError, match=r"worker process died.*3"):
-            session.map(list(range(8)))
-
-
-def test_dying_worker_in_session_names_batch():
-    backend = ProcessPoolBackend(jobs=2)
-    with backend.open_session(_crash_on_three) as session:
-        with pytest.raises(ProactError, match="unfinished batch"):
-            session.map(list(range(8)))
+    with SweepPool(_crash_on_three, jobs=2) as pool:
+        with pytest.raises(ProactError) as raised:
+            pool.map(list(range(8)))
+    message = str(raised.value)
+    assert re.search(r"worker process died.*3", message), message
+    assert "unfinished batch" in message, message
 
 
 def test_warm_session_maps_in_task_order():
-    backend = ProcessPoolBackend(jobs=2)
-    with backend.open_session(_double) as session:
-        assert session.map(list(range(20))) == [2 * i for i in range(20)]
-        assert session.map([]) == []
+    with SweepPool(_double, jobs=2) as pool:
+        assert pool.map(list(range(20))) == [2 * i for i in range(20)]
+        assert pool.map([]) == []
     with pytest.raises(ProactError, match="closed"):
-        session.map([1])
+        pool.map([1])
 
 
 def _double(task):
     return task * 2
 
 
-def test_custom_backend_overriding_open_session_works():
-    # open_session is the whole backend seam: a third-party backend that
-    # overrides only it drives a full profiler sweep.
-    calls = []
-
-    class RecordingSession(TaskSession):
-        def __init__(self, fn):
-            self.fn = fn
-
-        def map(self, tasks):
-            calls.append(len(tasks))
-            return [self.fn(task) for task in tasks]
-
-    class Recording(ExecutorBackend):
-        def open_session(self, fn):
-            return RecordingSession(fn)
-
-    builder = small_pagerank().phase_builder()
-    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS,
-                  search="exhaustive")
-    recorded = Profiler(PLATFORM_4X_VOLTA, backend=Recording(),
-                        **kwargs).profile(builder)
-    serial = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
-    assert recorded.entries == serial.entries
-    assert calls == [len(serial.entries)]
-    assert Recording().parallelism == 1
-
-
 def test_process_pool_backend_validation():
-    with pytest.raises(ProactError):
-        ProcessPoolBackend(jobs=0)
+    # Every sweep entry point rejects a job count below one up front.
+    with pytest.raises(ProactError, match="job"):
+        Profiler(PLATFORM_4X_VOLTA, jobs=0)
+    with pytest.raises(CollectiveError, match="job"):
+        CollectiveTuner(PLATFORM_4X_VOLTA, jobs=0)
+    with pytest.raises(ProactError, match="job"):
+        SweepPool(_double, jobs=0)
     # jobs=1 runs in-process: even an unpicklable function works
     # because no pool is spawned.
-    backend = ProcessPoolBackend(jobs=1)
-    with backend.open_session(lambda task: task + 1) as session:
-        assert session.map([1, 2]) == [2, 3]
-        assert session.map([]) == []
+    with SweepPool(lambda task: task + 1, jobs=1) as pool:
+        assert pool.map([1, 2]) == [2, 3]
+        assert pool.map([]) == []
 
 
 def test_run_phases_deterministic():

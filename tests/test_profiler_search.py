@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.core import Profiler
-from repro.core.profiler import ProcessPoolBackend, run_phases
+from repro.core.profiler import run_phases
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
 from tests.conftest import small_jacobi, small_pagerank
@@ -85,7 +85,7 @@ def test_serial_search_measures_exactly_the_contending_floors(
 
 
 def test_parallel_search_picks_identical_argmin():
-    """The warm-worker backend may measure a different entry set, but
+    """A warm-worker sweep may measure a different entry set, but
     the certified winner (config and bitwise runtime) must not move."""
     chunks, threads = (64 * KiB, 512 * KiB, 4 * MiB), (512, 2048)
     builder = small_pagerank(iterations=2).phase_builder()
@@ -94,7 +94,7 @@ def test_parallel_search_picks_identical_argmin():
                       search="search").profile(builder)
     parallel = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=chunks,
                         thread_counts=threads, search="search",
-                        backend=ProcessPoolBackend(2)).profile(builder)
+                        jobs=2).profile(builder)
     assert parallel.best.config == serial.best.config
     assert parallel.best.runtime == serial.best.runtime
 

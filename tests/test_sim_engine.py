@@ -213,6 +213,44 @@ def test_all_of_over_processed_and_pending_event():
     assert result == {done: "early", pending: "late"}
 
 
+
+@pytest.mark.parametrize("case", ["fired", "pending", "failed", "foreign"])
+def test_all_of_over_one_event(case):
+    # A one-event condition is an ordinary AllOf: it fires once, in one
+    # heap entry of its own, with {event: value}; it fails with the
+    # constituent's exception and rejects another engine's event.
+    engine = Engine()
+    if case == "foreign":
+        with pytest.raises(SimulationError):
+            engine.all_of([Engine().timeout(1.0)])
+        return
+    event = engine.timeout(1.0, value="v") if case != "failed" else Event(engine)
+    if case == "fired":
+        engine.run(until=event)
+    fired_before = engine.events_fired
+    wait = engine.all_of([event])
+    seen = []
+    wait.callbacks.append(seen.append)
+    if case == "failed":
+        event.fail(ValueError("constituent died"))
+
+        def waiter(engine):
+            try:
+                yield wait
+            except ValueError as exc:
+                return f"saw: {exc}"
+
+        proc = engine.process(waiter(engine))
+        engine.run()
+        assert proc.value == "saw: constituent died"
+        assert seen == [wait] and not wait.ok
+        return
+    assert engine.run(until=wait) == {event: "v"}
+    assert seen == [wait]
+    assert engine.now == 1.0
+    # The wait's own entry, plus the timeout's when it was still pending.
+    assert engine.events_fired - fired_before == (2 if case == "pending" else 1)
+
 # ---------------------------------------------------------------------------
 # Error context: every escaping exception carries the simulation time
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 import pytest
 
 from repro.core import Profiler
-from repro.core.profiler import ProcessPoolBackend
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -143,7 +142,7 @@ def test_parallel_sweep_telemetry_worker_lanes_and_identity():
     baseline = _profiler(search="exhaustive").profile(_builder())
     with capture(sweeps=True) as observation:
         traced = _profiler(search="exhaustive",
-                           backend=ProcessPoolBackend(2)).profile(_builder())
+                           jobs=2).profile(_builder())
 
     assert traced.entries == baseline.entries  # parallel == serial
     decisions = observation.decisions
