@@ -1,8 +1,7 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the benchmark gates.
 
-Every benchmark writes the table(s) it regenerates into
-``benchmarks/results/`` so the paper-vs-measured comparison in
-EXPERIMENTS.md can be refreshed from the artifacts.
+Each gate writes its ``BENCH_*.json`` datapoint into the gitignored
+``benchmarks/results/``, which CI loads, prints and uploads.
 """
 
 import pathlib
@@ -20,7 +19,11 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture
 def save_tables(results_dir):
-    """Write rendered tables to a named artifact file."""
+    """Write rendered tables to a named artifact file.
+
+    Only ``test_fig4_profile_surface.py`` still calls it; it goes with
+    that file.
+    """
 
     def _save(name: str, *tables) -> None:
         path = results_dir / f"{name}.txt"

@@ -1,8 +1,8 @@
 """Benchmark: the mechanism-ablation harness end to end.
 
 Runs the full baseline + single-flip run set across the paper's five
-applications on 4x Volta, persisting the ranked importance table and a
-``BENCH_ablation.json`` summary, which CI loads and prints.
+applications on 4x Volta, persisting a ``BENCH_ablation.json`` summary,
+which CI loads and prints.
 
 Two gates ride on the numbers, both enforced in-test:
 
@@ -27,7 +27,7 @@ from repro.workloads import PageRankWorkload, default_workloads
 PLATFORM = PLATFORM_4X_VOLTA
 
 
-def test_ablation_harness(results_dir, save_tables):
+def test_ablation_harness(results_dir):
     workloads = default_workloads()
     runs = generate_runset()
 
@@ -58,7 +58,6 @@ def test_ablation_harness(results_dir, save_tables):
         datapoint[f"{entry.component}_importance"] = round(
             entry.importance, 4)
 
-    save_tables("ablation", report.table())
     path = results_dir / "BENCH_ablation.json"
     path.write_text(json.dumps(datapoint, indent=2, sort_keys=True) + "\n")
 

@@ -345,4 +345,7 @@ def experiment(ctx: ExperimentContext) -> ExperimentResult:
          "proact_vs_4_dma_engines": dma.proact / dma.memcpy[4],
          "mapping_gain_16": (mapping.with_mapping[16]
                              / mapping.full_duplication[16]),
+         # Exact, since at 4 GPUs the two must be equal, not just print so.
+         "per_peer_mapping_4": mapping.with_mapping[4],
+         "full_duplication_4": mapping.full_duplication[4],
          "best_chunk_bytes": granularity.best_chunk()})

@@ -9,7 +9,9 @@ from repro.interconnect.efficiency import (
     DEFAULT_GRANULARITIES,
     GoodputPoint,
     figure2_curves,
+    saturation_size,
 )
+from repro.interconnect.packet import NVLINK_FORMAT, PCIE3_FORMAT
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 
@@ -48,8 +50,15 @@ def run(sizes: Sequence[int] = DEFAULT_GRANULARITIES) -> Figure2Result:
 def experiment(ctx: ExperimentContext) -> ExperimentResult:
     """Registry entry point (see :mod:`repro.experiments.registry`)."""
     result = run()
-    anchors = result.anchor_points()
+    scalars = {f"goodput_4B_{name.lower()}": value
+               for name, value in result.anchor_points().items()}
+    scalars["saturation_bytes_pcie"] = saturation_size(PCIE3_FORMAT)
+    scalars["saturation_bytes_nvlink"] = saturation_size(NVLINK_FORMAT)
+    # The exact smallest rise between neighbouring sizes: the rendered
+    # plateau cells print equal, so monotonicity needs the raw values.
+    scalars["goodput_min_step"] = min(
+        b.goodput_fraction - a.goodput_fraction
+        for points in result.curves.values()
+        for a, b in zip(points, points[1:]))
     return ExperimentResult.build(
-        "fig2", "Figure 2", [result.table()],
-        {f"goodput_4B_{name.lower()}": value
-         for name, value in anchors.items()})
+        "fig2", "Figure 2", [result.table()], scalars)

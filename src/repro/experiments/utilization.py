@@ -214,4 +214,8 @@ def experiment(ctx: ExperimentContext) -> ExperimentResult:
         "utilization", "Utilization smoothing", [result.table()],
         {"cv_bulk": bulk_cv, "cv_proact": proact_cv,
          "smoothing_factor": (bulk_cv / proact_cv if proact_cv > 0
-                              else 0.0)})
+                              else 0.0),
+         "active_window_bulk": active_window_fraction(
+             result.timelines["cudaMemcpy"]),
+         "active_window_proact": active_window_fraction(
+             result.timelines["PROACT-decoupled"])})
