@@ -7,9 +7,9 @@ print the whole profile, and report the configuration the framework would
 bake into the compiled binary (one cell of Table II).
 
 The sweep goes through ``Session.profile``; pass ``--search`` to run the
-floor-seeded search autotuner, which skips candidates by their
-infinite-bandwidth lower bound (the exhaustive argmin, fewer full
-measurements).
+search autotuner, which skips candidates by a lower bound: an analytic
+one first, then an infinite-bandwidth floor run where that cannot
+decide (the exhaustive argmin, fewer full measurements).
 
 Run:  python examples/autotune_jacobi.py [platform] [--search]
       (platform defaults to 4x_pascal; see repro.hw.PLATFORMS)
@@ -46,9 +46,9 @@ def main() -> None:
         table.add_row(entry.config.label(), format_time(entry.runtime))
     print(table)
     if profile.pruned_configs:
-        print(f"\n({profile.pruned_configs} configurations pruned by the "
-              f"infinite-bandwidth lower bound; {profile.floor_runs} floor "
-              f"simulations)")
+        print(f"\n({profile.pruned_configs} configurations pruned by "
+              f"their lower bounds; {profile.floor_runs} infinite-bandwidth "
+              f"floor simulations, the rest bounded analytically)")
 
     best = profile.best
     print(f"\nChosen configuration (Table II cell): {best.config.label()}"

@@ -34,6 +34,7 @@ from repro.hw.fluid import FluidTask
 from repro.units import usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hw.specs import GpuSpec
     from repro.runtime.system import System
 
 #: Per-chunk dispatch work inside the polling agent (bitmap scan hit,
@@ -41,6 +42,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: warp group.  This is what makes very fine chunks initiation-bound
 #: even for polling.
 CHUNK_DISPATCH_OVERHEAD = usec(0.5)
+
+
+def resident_demand(spec: "GpuSpec", threads: int) -> float:
+    """The resident polling kernel's share of its GPU's compute.
+
+    Its transfer threads plus the spin loops' overhead, capped at the
+    whole GPU.
+    """
+    return min(spec.transfer_thread_demand(threads)
+               + spec.polling_overhead_fraction, 1.0)
 
 
 class PollingAgent(DecoupledAgent):
@@ -73,12 +84,10 @@ class PollingAgent(DecoupledAgent):
         self._started = True
         if self.fluid_contention:
             gpu = self.system.gpus[self.src_id]
-            demand = (gpu.spec.transfer_thread_demand(
-                          self.config.transfer_threads)
-                      + gpu.spec.polling_overhead_fraction)
             self._resident_task = gpu.compute.launch(
                 f"gpu{self.src_id}.polling-agent", work=math.inf,
-                demand=min(demand, 1.0))
+                demand=resident_demand(gpu.spec,
+                                       self.config.transfer_threads))
         self._started_at = self.system.engine.now
 
     def stop(self) -> None:

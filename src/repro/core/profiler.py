@@ -17,26 +17,40 @@ Three search modes:
   separable: on the quick Table II grid coordinate picks a different
   configuration than the exhaustive argmin for Kepler PageRank, SSSP
   and ALS and for Pascal ALS (see EXPERIMENTS.md, Table II);
-* ``"search"`` — best-first branch-and-bound: rank the grid by its
-  infinite-bandwidth lower bounds (floors), then measure candidates
-  best-first until every remaining floor exceeds the best runtime
-  measured so far.
+* ``"search"`` — best-first branch-and-bound over a two-level lower
+  bound: measure candidates best-first until every remaining bound
+  exceeds the best runtime measured so far.
 
 The ``search`` pruning is sound.  A candidate's floor is its runtime
 under an *infinite-bandwidth* fabric — transfers complete instantly, so
 the run is far cheaper to simulate (no per-quantum link events) and its
 runtime is a true lower bound on the real measurement (removing all
 interconnect time can only shorten the schedule; with ``infinite_bw``
-the decoupled agents also drop their copy-bandwidth throttle).  A
-candidate is skipped only when its floor *strictly* exceeds the best
-runtime measured so far: its real runtime would satisfy ``runtime >=
-floor > incumbent``, so it can neither be the argmin nor tie the
-minimum.  Every entry the exhaustive sweep would rank first — including
-all runtime ties — is therefore measured, and :attr:`ProfileResult.best`
-is identical to brute force.  Serially the sweep measures exactly the
-candidates whose floor does not exceed the best runtime, the least any
-floor-pruned search can measure.  With ``jobs=N`` it measures ``N``
-candidates per wave, re-checking floors against the freshest incumbent
+the decoupled agents also drop their copy-bandwidth throttle).  Below
+the floor sits an analytic bound (:func:`_floor_bounds`) computed from
+the phase list without simulating: per phase, the slowest GPU's kernel
+launch plus its work at the slowest rate the fluid share can grant it,
+and for CDP its chunks' serialized child launches.  Its formulas come
+from the helpers the executor and the polling agent themselves call,
+and it gives back a margin for the fluid share's completion tolerance
+and clock rounding, so ``bound <= floor <= runtime``.
+
+One heap holds every candidate at its best known lower bound — the
+analytic bound until its floor has run, then the floor.  A popped bound
+becomes a floor run, whose result goes back on the heap; a popped floor
+becomes a measurement.  A candidate is skipped only when its bound or
+floor *strictly* exceeds the best runtime measured so far: its real
+runtime would then exceed the incumbent, so it can neither be the
+argmin nor tie the minimum.  Every entry the exhaustive sweep would
+rank first — including all runtime ties — is therefore measured, and
+:attr:`ProfileResult.best` is identical to brute force.  Because a
+bound never exceeds its floor, floors pop in ``(floor, config)`` order,
+the order of a sweep that runs every floor first: serially the sweep
+measures exactly the candidates whose floor does not exceed the best
+runtime, the least any floor-pruned search can measure, in the same
+order and bitwise equal; only the floors it runs are fewer.  With
+``jobs=N`` each wave pops up to ``N`` entries, floor runs and
+measurements alike, re-checking them against the freshest incumbent
 between waves.
 
 Sweep pool
@@ -80,8 +94,9 @@ unwraps those records, lays them out as one ``sweep.worker{N}`` lane per
 worker on the observation's ambient tracer (task spans nested in batch
 spans), and folds queue-wait/batch/task histograms into the shared
 registry via a phase-safe :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
-Every search decision — floors computed, candidates measured or pruned,
-incumbent updates, measurement waves — lands in the
+Every search decision — floor waves run, candidates measured or pruned
+(each prune with the bound or floor that decided it), incumbent updates,
+measurement waves — lands in the
 observation's typed :class:`~repro.obs.decisions.DecisionLog` (mirrored
 on the ``decision`` trace channel), with the invariant that each grid
 candidate ends in exactly one ``measure`` or ``prune`` event.
@@ -90,6 +105,7 @@ candidate ends in exactly one ``measure`` or ``prune`` event.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import os
 import time
@@ -109,20 +125,30 @@ from typing import (
 
 from repro.core.config import (
     ALL_MECHANISMS,
+    MECH_CDP,
     MECH_INLINE,
+    MECH_POLLING,
     PROFILE_CHUNK_SIZES,
     PROFILE_THREAD_COUNTS,
     Mechanisms,
     ProactConfig,
 )
-from repro.core.runtime import GpuPhaseWork, ProactPhaseExecutor
+from repro.core.polling import resident_demand
+from repro.core.region import ProactRegion
+from repro.core.runtime import (
+    GpuPhaseWork,
+    ProactPhaseExecutor,
+    decoupled_kernel_work,
+)
 from repro.errors import ProactError
+from repro.hw.fluid import _EPS
 from repro.hw.platform import PlatformSpec
 from repro.obs.capture import Observation
 from repro.obs.capture import active as active_observation
 from repro.obs.capture import suppress as suppress_observation
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.system import System
+from repro.validate.sanitizer import NULL_SANITIZER
 from repro.validate.scope import active as active_validation
 from repro.validate.scope import validation
 
@@ -167,7 +193,8 @@ class ProfileResult:
 
     ``pruned_configs``/``floor_runs`` are only non-zero for ``search``
     sweeps: how many candidates were skipped outright, and how many
-    infinite-bandwidth floor simulations were paid to decide.
+    infinite-bandwidth floor simulations actually ran to decide (the
+    analytic bound rules the rest out unsimulated).
     """
 
     entries: List[ProfileEntry]
@@ -226,6 +253,73 @@ def measure_config(platform: PlatformSpec, config: ProactConfig,
     """
     runtime = run_phases(platform, config, phase_builder, toggles=toggles)
     return ProfileEntry(config=config, runtime=runtime)
+
+
+#: Relative slack taken off a floor bound for the float rounding of the
+#: simulated clock, which sums thousands of wakeup delays per run.
+_BOUND_ROUNDING = 1e-9
+
+
+def _floor_bounds(platform: PlatformSpec, phase_builder: PhaseBuilder,
+                 configs: Sequence[ProactConfig],
+                 toggles: Optional[Mechanisms] = None,
+                 ) -> Dict[ProactConfig, float]:
+    """A lower bound on each config's infinite-bandwidth floor, unsimulated.
+
+    Phases run one after another, and a phase ends only when every GPU's
+    part of it has, so a run lasts at least the sum over phases of the
+    slowest GPU's own time.  No GPU finishes its part before its kernel
+    has launched and done its work at the slowest rate the fluid share
+    can grant it: ``kernel_launch_latency + work * slowdown``.  ``work``
+    is the executor's own (:func:`~repro.core.runtime.decoupled_kernel_work`
+    for decoupled mechanisms).  A resident polling agent's demand ``d``
+    (:func:`~repro.core.polling.resident_demand`) runs beside the whole
+    kernel, so the kernel runs at ``1 / (1 + d)``; every other co-runner
+    only slows it further.  A CDP GPU also waits for its chunks' child
+    launches, which its device's launch FIFO serves one at a time, none
+    before the kernel starts.
+
+    Each GPU term gives back the fluid share's completion tolerance
+    (``_EPS`` of work, at most doubled by the slowdown), and the sum
+    gives back :data:`_BOUND_ROUNDING` of itself, so the bound stays at
+    or below the simulated floor.  The phase list is built once, on a
+    throwaway system that simulates nothing: it carries the null
+    sanitizer and no observation, so it neither counts as validated nor
+    opens a trace.
+    """
+    with suppress_observation():
+        system = System(platform, infinite_bw=True, mechanisms=toggles,
+                        sanitizer=NULL_SANITIZER)
+        phases = phase_builder(system)
+    mechanisms = system.mechanisms
+    bounds: Dict[ProactConfig, float] = {}
+    for config in configs:
+        total = 0.0
+        for works in phases:
+            slowest = 0.0
+            for gpu, work in zip(system.gpus, works):
+                spec = gpu.spec
+                slowdown = 1.0
+                if (work.region_bytes == 0 or system.num_gpus == 1
+                        or config.mechanism == MECH_INLINE):
+                    kernel_work = work.kernel.uncontended_time(gpu)
+                else:
+                    kernel_work = decoupled_kernel_work(
+                        gpu, work.kernel, config.mechanism, mechanisms)
+                    if (config.mechanism == MECH_POLLING
+                            and mechanisms.fluid_contention):
+                        slowdown += resident_demand(
+                            spec, config.transfer_threads)
+                    elif config.mechanism == MECH_CDP:
+                        chunks = ProactRegion(work.region_bytes,
+                                              config.chunk_size).num_chunks
+                        slowest = max(slowest, spec.kernel_launch_latency
+                                      + chunks * spec.cdp_launch_latency)
+                slowest = max(slowest, spec.kernel_launch_latency
+                              + kernel_work * slowdown - 2 * _EPS)
+            total += slowest
+        bounds[config] = total * (1.0 - _BOUND_ROUNDING)
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +623,7 @@ class _SweepTelemetry:
             self.observation.decisions.log(kind, config=config, **payload)
 
     def floors_done(self, floors: Dict[ProactConfig, float]) -> None:
-        """One batch of infinite-BW lower bounds finished."""
+        """One wave's infinite-BW lower bounds finished."""
         if self.observation is None or not floors:
             return
         for value in floors.values():
@@ -553,11 +647,12 @@ class _SweepTelemetry:
                 self._log("incumbent", config=entry.config.label(),
                           runtime=entry.runtime)
 
-    def pruned_config(self, config: ProactConfig, floor: float,
+    def pruned_config(self, config: ProactConfig, kind: str, value: float,
                       incumbent: float) -> None:
-        """One candidate skipped because ``floor > incumbent``."""
-        self._log("prune", config=config.label(), floor=floor,
-                  incumbent=incumbent)
+        """One candidate skipped because its ``kind`` lower bound (the
+        analytic ``bound`` or the ``floor``) exceeds the incumbent."""
+        self._log("prune", config=config.label(), incumbent=incumbent,
+                  **{kind: value})
 
     def certify_wave(self, size: int) -> None:
         self._log("certify", size=size)
@@ -620,13 +715,13 @@ class Profiler:
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
         """Run the sweep for one application.
 
-        Every mode measures through :meth:`_measure`, in waves of
-        independent configurations: exhaustive measures the full grid in
-        one wave, coordinate search runs a chunk wave and then a thread
-        wave, and ``search="search"`` measures best-first by floor (see
-        the module docstring).  Exhaustive and coordinate entries are
-        identical, in identical order, at any job count; a search
-        sweep's winner is.
+        Every mode measures in waves of independent configurations:
+        exhaustive measures the full grid in one wave, coordinate search
+        runs a chunk wave and then a thread wave, and ``search="search"``
+        runs floors and measurements best-first by their lower bounds
+        (see the module docstring).  Exhaustive and coordinate entries
+        are identical, in identical order, at any job count; a search
+        sweep's winner is, and so are its serial entries.
 
         One :class:`SweepPool` serves the whole sweep, so the platform
         and builder ship to its workers once.  Under
@@ -644,7 +739,8 @@ class Profiler:
             session: _Session = (_TelemetrySession(pool, telemetry)
                                  if observed else pool)
             if self.search_mode == "search":
-                result = self._profile_search(session, telemetry)
+                result = self._profile_search(session, telemetry,
+                                              phase_builder)
             elif self.search_mode == "coordinate":
                 result = self._profile_coordinate(session, telemetry)
             else:
@@ -689,16 +785,6 @@ class Profiler:
         telemetry.measured_entries(entries)
         return entries
 
-    def _floors(self, candidates: Sequence[ProactConfig],
-                session: _Session, telemetry: _SweepTelemetry,
-                ) -> Dict[ProactConfig, float]:
-        """Infinite-bandwidth lower bounds for every candidate."""
-        with suppress_observation():
-            floors = dict(zip(candidates, session.map(
-                [_floor_task(config) for config in candidates])))
-        telemetry.floors_done(floors)
-        return floors
-
     def _profile_coordinate(self, session: _Session,
                             telemetry: _SweepTelemetry) -> ProfileResult:
         """Chunks at the top thread count, then threads at the best chunk.
@@ -723,33 +809,59 @@ class Profiler:
         return ProfileResult(entries=[entry for entries in grouped.values()
                                       for entry in entries])
 
-    def _profile_search(self, session: _Session,
-                        telemetry: _SweepTelemetry) -> ProfileResult:
-        """Best-first branch-and-bound over the floor-ranked grid."""
+    def _profile_search(self, session: _Session, telemetry: _SweepTelemetry,
+                        phase_builder: PhaseBuilder) -> ProfileResult:
+        """Best-first branch-and-bound over the two-level bound.
+
+        One heap holds every candidate by its best known lower bound:
+        the analytic :func:`_floor_bounds` until its floor has run, then
+        the floor.  Ties go toward the smallest config.  A popped bound
+        becomes a floor task whose result goes back on the heap; a
+        popped floor becomes a measurement.  Each wave pops up to
+        ``jobs`` entries whose value does not exceed the incumbent.
+        """
         candidates = self._full_grid()
-        floors = self._floors(candidates, session, telemetry)
-        # Best-first: smallest floor first, ties toward the smallest config.
-        ranked = sorted(candidates,
-                        key=lambda c: (floors[c], _config_order(c)))
+        bounds = _floor_bounds(self.platform, phase_builder, candidates,
+                               self.toggles)
+        heap = [(bounds[config], _config_order(config), "bound", config)
+                for config in candidates]
+        heapq.heapify(heap)
         entries: List[ProfileEntry] = []
         incumbent = math.inf
-        # Floors ascend and the incumbent only drops, so the candidates
-        # still in contention are always a prefix of what is left.
-        while len(entries) < len(ranked):
-            wave = [config for config in
-                    ranked[len(entries):len(entries) + self.jobs]
-                    if floors[config] <= incumbent]
-            if not wave:
-                break
-            telemetry.certify_wave(len(wave))
-            entries.extend(self._measure(wave, session, telemetry))
-            incumbent = min(entry.runtime for entry in entries)
-        for config in ranked[len(entries):]:
-            telemetry.pruned_config(config, floors[config], incumbent)
+        floor_runs = 0
+        while heap and heap[0][0] <= incumbent:
+            wave = []
+            while heap and heap[0][0] <= incumbent and len(wave) < self.jobs:
+                wave.append(heapq.heappop(heap))
+            tasks = [_floor_task(config) if kind == "bound"
+                     else _measure_task(config)
+                     for _value, _order, kind, config in wave]
+            measuring = sum(task[3] == "measure" for task in tasks)
+            if measuring:
+                telemetry.certify_wave(measuring)
+            # Candidate runs stay unobserved (see :meth:`_measure`).
+            with suppress_observation():
+                results = session.map(tasks)
+            floors: Dict[ProactConfig, float] = {}
+            measured: List[ProfileEntry] = []
+            for (_value, order, kind, config), result in zip(wave, results):
+                if kind == "bound":
+                    floors[config] = result
+                    heapq.heappush(heap, (result, order, "floor", config))
+                else:
+                    measured.append(result)
+            floor_runs += len(floors)
+            telemetry.floors_done(floors)
+            telemetry.measured_entries(measured)
+            entries.extend(measured)
+            incumbent = min((entry.runtime for entry in entries),
+                            default=math.inf)
+        for value, _order, kind, config in sorted(heap):
+            telemetry.pruned_config(config, kind, value, incumbent)
         return ProfileResult(
             entries=entries,
             pruned_configs=len(candidates) - len(entries),
-            floor_runs=len(candidates))
+            floor_runs=floor_runs)
 
     def _observe_entries(self, entries: Sequence[ProfileEntry]) -> None:
         """Publish per-candidate sweep timings to the ambient scope."""

@@ -51,6 +51,8 @@ from repro.errors import ConfigurationError, ProactError
 from repro.runtime.kernels import KernelSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.config import Mechanisms
+    from repro.hw.gpu import Gpu
     from repro.runtime.system import System
 
 
@@ -129,6 +131,21 @@ class PhaseResult:
     @property
     def total_bytes_sent(self) -> int:
         return sum(outcome.bytes_sent for outcome in self.outcomes)
+
+
+def decoupled_kernel_work(gpu: "Gpu", kernel: KernelSpec, mechanism: str,
+                          mechanisms: "Mechanisms") -> float:
+    """Uncontended work of a decoupled mechanism's producer kernel.
+
+    The kernel itself, plus the readiness counters' instrumentation when
+    readiness tracking is on.  Hardware PROACT tracks readiness in
+    dedicated structures updated by the memory system, so it pays no
+    instrumentation cost.
+    """
+    work = kernel.uncontended_time(gpu)
+    if mechanisms.readiness_tracking and mechanism != MECH_HARDWARE:
+        work += tracking_overhead(gpu.spec, kernel.num_ctas)
+    return work
 
 
 class ProactPhaseExecutor:
@@ -317,11 +334,8 @@ class ProactPhaseExecutor:
         polling = isinstance(agent, PollingAgent)
         if polling:
             agent.start()
-        kernel_work = work.kernel.uncontended_time(gpu)
-        if tracking and self.config.mechanism != MECH_HARDWARE:
-            # Hardware PROACT tracks readiness in dedicated structures
-            # updated by the memory system — no instrumentation cost.
-            kernel_work += tracking_overhead(gpu.spec, work.kernel.num_ctas)
+        kernel_work = decoupled_kernel_work(
+            gpu, work.kernel, self.config.mechanism, self.mechanisms)
         launch = device.launch_kernel(
             work.kernel.name, kernel_work,
             milestones=region.milestone_fractions(schedule))

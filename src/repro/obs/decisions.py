@@ -12,18 +12,19 @@ shows up as its own lane in the exported Chrome-trace document.
 Event kinds (:data:`DECISION_KINDS`):
 
 ``floors``
-    One batch of infinite-bandwidth lower bounds finished (payload:
+    One search wave's infinite-bandwidth floor runs finished (payload:
     count, min/max floor).
 ``measure``
     One candidate was fully measured (payload: config label, runtime).
 ``prune``
-    One candidate was skipped because its floor strictly exceeded the
-    incumbent (payload: config label, floor, incumbent).
+    One candidate was skipped because its lower bound strictly exceeded
+    the incumbent (payload: config label, the deciding value as
+    ``bound`` (analytic) or ``floor``, and the incumbent).
 ``incumbent``
     The best measured runtime improved (payload: config label, runtime).
 ``certify``
     One best-first wave of candidates whose floors could still win was
-    measured (payload: wave size).
+    measured (payload: how many it measured).
 
 For any complete sweep, every grid candidate ends in exactly one of
 ``measure`` or ``prune``, so ``count("measure") + count("prune")``

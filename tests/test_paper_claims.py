@@ -103,6 +103,40 @@ def fig2(golden):
     assert scalars["goodput_min_step"] >= -1e-9
 
 
+def _fig4_surface(golden):
+    """Fig 4's relative throughput as ``{threads: {size in bytes: value}}``."""
+    surface = {}
+    for label, row in _table(golden, "fig4", "Figure 4").items():
+        surface[int(label)] = {
+            int(column[:-2]) * (KiB if column.endswith("kB") else MiB):
+                _value(cell)
+            for column, cell in row.items() if column != "threads"}
+    return surface
+
+
+def fig4(golden):
+    surface = _fig4_surface(golden)
+    scalars = golden["fig4"]["scalars"]
+    best_threads = int(scalars["best_threads"])
+    best_size = int(scalars["best_size"])
+    # Paper: >= 128 threads are needed to saturate the interconnect.
+    assert best_threads >= 128
+    # Starving the agent (32 threads) must hurt at every granularity.
+    for size, value in surface[32].items():
+        assert value < surface[best_threads][size], size
+    # Beyond saturation, adding threads stops helping (within 10 %).
+    assert surface[2048][best_size] <= surface[512][best_size] * 1.10
+
+
+def fig4_deviations(golden):
+    """Fig 4's best granularity, pinned below the paper's band."""
+    best_size = int(golden["fig4"]["scalars"]["best_size"])
+    assert best_size == 4 * KiB, (
+        "Fig 4 best granularity: paper 16 KiB - 4 MiB, pinned deviation "
+        f"4 KiB (the quick grid is flat from 4 kB to 64 kB), now "
+        f"{best_size} B")
+
+
 def fig6(golden):
     # (platform, mechanism) -> speedup per granularity, smallest first.
     speedup = {}
@@ -458,11 +492,11 @@ def autotune(golden):
     assert scalars["searched_configs"] < scalars["grid_configs"]
 
 
-CLAIMS = (table1, fig1, fig2, fig6, fig7, fig8, fig9, fig10, table2,
-          table2_deviations, ablation_hardware, ablation_dma_engines,
-          ablation_peer_mapping, ablation_chunk_granularity,
-          ablation_topology, mechanism_ablation, utilization, sensitivity,
-          collectives, cluster, autotune)
+CLAIMS = (table1, fig1, fig2, fig4, fig4_deviations, fig6, fig7, fig8,
+          fig9, fig10, table2, table2_deviations, ablation_hardware,
+          ablation_dma_engines, ablation_peer_mapping,
+          ablation_chunk_granularity, ablation_topology, mechanism_ablation,
+          utilization, sensitivity, collectives, cluster, autotune)
 
 
 @pytest.fixture(scope="module")
@@ -502,8 +536,14 @@ def _set_cell(snapshot, name, title, label, column, value):
                                             "X-ray CT", "4x_kepler",
                                             "D 1MB 256 CDP"),
      "X-ray CT on 4x_kepler: paper D-CDP"),
+    (fig4, lambda s: _set_cell(s, "fig4", "Figure 4", "32", "1MB",
+                               "0.993"),
+     "1048576"),
+    (fig4_deviations, lambda s: s["fig4"]["scalars"].update(
+        best_size=16384.0),
+     "Fig 4 best granularity: paper 16 KiB - 4 MiB"),
 ], ids=["fig7-geomean", "fig9-min-overlap", "table2-kepler-cdp",
-        "table2-deviation"])
+        "table2-deviation", "fig4-starved-agent", "fig4-deviation"])
 def test_claim_fails_past_its_bound(claim, mutate, match, golden):
     snapshot = copy.deepcopy(golden)
     mutate(snapshot)

@@ -83,7 +83,17 @@ def test_serial_sweep_telemetry_decisions_and_identical_results():
     assert decisions.count("measure") + decisions.count("prune") == GRID
     assert decisions.count("measure") == len(traced.entries)
     assert decisions.count("prune") == traced.pruned_configs
-    assert decisions.count("floors") == 1
+    # One ``floors`` decision per wave that ran floors: serially, one
+    # per floor the analytic bound could not rule out.
+    assert decisions.count("floors") == traced.floor_runs
+    # Each prune carries the bound or floor that decided it, and that
+    # value exceeds the final incumbent.
+    best = traced.best.runtime
+    for event in decisions.events:
+        if event.kind == "prune":
+            (value,) = (event.payload[key] for key in ("bound", "floor")
+                        if key in event.payload)
+            assert value > best == event.payload["incumbent"]
     # The decision log's final incumbent is the sweep's actual winner.
     assert decisions.final_incumbent().config == traced.best.config.label()
     # The decision stream is mirrored onto the trace channel.
@@ -94,7 +104,8 @@ def test_serial_sweep_telemetry_decisions_and_identical_results():
     histograms = snapshot["histograms"]
     assert histograms["sweep_task_ms{kind=measure}"]["count"] == \
         len(traced.entries)
-    assert histograms["sweep_task_ms{kind=floor}"]["count"] == GRID
+    assert histograms["sweep_task_ms{kind=floor}"]["count"] == \
+        traced.floor_runs
     assert any(name.startswith("sweep_batch_ms") for name in histograms)
     assert any(name.startswith("sweep_queue_wait_ms")
                for name in histograms)
