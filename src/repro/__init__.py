@@ -19,67 +19,42 @@ control.  See ``repro.experiments`` for the harnesses that regenerate
 every table and figure from the paper's evaluation.
 """
 
-from repro.api import Session
+import importlib
 
-from repro.ablation import AblationReport, AblationRun, generate_runset, run_ablation
-from repro.core import (
-    DEFAULT_MECHANISMS,
-    GpuPhaseWork,
-    MECH_CDP,
-    MECH_INLINE,
-    MECH_POLLING,
-    Mechanisms,
-    ProactConfig,
-    ProactPhaseExecutor,
-    ProactRegion,
-    Profiler,
-    ReadinessTracker,
-)
-from repro.errors import (
-    ConfigurationError,
-    ProactError,
-    ReproError,
-    SimulationError,
-    ValidationError,
-    WorkloadError,
-)
-from repro.cluster import ClusterPlatformSpec, cluster_platform
-from repro.hw import PLATFORMS, PlatformSpec, platform_by_name
-from repro.runtime import KernelSpec, System
-from repro.validate import validation
+#: Every top-level name and the module it comes from.  Each is imported
+#: on first use (PEP 562), so ``import repro.api`` does not also load
+#: the ablation harness and the cluster layer.
+_SOURCES = {
+    "Session": "repro.api",
+    **dict.fromkeys(("AblationReport", "AblationRun", "generate_runset",
+                     "run_ablation"), "repro.ablation"),
+    **dict.fromkeys(("DEFAULT_MECHANISMS", "GpuPhaseWork", "MECH_CDP",
+                     "MECH_INLINE", "MECH_POLLING", "Mechanisms",
+                     "ProactConfig", "ProactPhaseExecutor", "ProactRegion",
+                     "Profiler", "ReadinessTracker"), "repro.core"),
+    **dict.fromkeys(("ConfigurationError", "ProactError", "ReproError",
+                     "SimulationError", "ValidationError", "WorkloadError"),
+                    "repro.errors"),
+    **dict.fromkeys(("ClusterPlatformSpec", "cluster_platform"),
+                    "repro.cluster"),
+    **dict.fromkeys(("PLATFORMS", "PlatformSpec", "platform_by_name"),
+                    "repro.hw"),
+    **dict.fromkeys(("KernelSpec", "System"), "repro.runtime"),
+    "validation": "repro.validate",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Session",
-    "System",
-    "KernelSpec",
-    "ProactConfig",
-    "Mechanisms",
-    "DEFAULT_MECHANISMS",
-    "AblationRun",
-    "AblationReport",
-    "generate_runset",
-    "run_ablation",
-    "ProactRegion",
-    "ProactPhaseExecutor",
-    "ReadinessTracker",
-    "Profiler",
-    "GpuPhaseWork",
-    "MECH_INLINE",
-    "MECH_POLLING",
-    "MECH_CDP",
-    "PlatformSpec",
-    "PLATFORMS",
-    "platform_by_name",
-    "ClusterPlatformSpec",
-    "cluster_platform",
-    "ReproError",
-    "SimulationError",
-    "ConfigurationError",
-    "ProactError",
-    "ValidationError",
-    "WorkloadError",
-    "validation",
-    "__version__",
-]
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SOURCES[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,11 +12,13 @@ costs are modelled:
 * **Poll latency** — a chunk becoming ready waits for the next bitmap
   scan before its transfer starts.
 
-Per chunk, the poll tick is one engine callback.  The tick appends the
-chunk to the agent's dispatch queue, whose head is served by one
-``CHUNK_DISPATCH_OVERHEAD`` callback; that callback starts the next
-chunk's dispatch before it sends its own chunk, so chunks found at one
-instant leave the agent one dispatch overhead apart, in arrival order.
+Per tick instant, the poll tick is one engine callback: the chunks that
+become ready before one bitmap scan ride that scan's entry, in arrival
+order.  The tick appends them to the agent's dispatch queue, whose head
+is served by one ``CHUNK_DISPATCH_OVERHEAD`` callback; that callback
+starts the next chunk's dispatch before it sends its own chunk, so
+chunks found at one instant leave the agent one dispatch overhead
+apart, in arrival order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: warp group.  This is what makes very fine chunks initiation-bound
 #: even for polling.
 CHUNK_DISPATCH_OVERHEAD = usec(0.5)
+
+#: A chunk the bitmap scan finds: ``(bytes, chunk index, poll wait)``.
+_Found = Tuple[int, Optional[int], float]
 
 
 def resident_demand(spec: "GpuSpec", threads: int) -> float:
@@ -69,10 +74,14 @@ class PollingAgent(DecoupledAgent):
         self._started = False
         self._resident_task: FluidTask | None = None
         self._started_at: float | None = None
-        # Chunks the bitmap scan found, in arrival order.  Per-chunk
-        # dispatch work serializes within the agent's warp group: the
-        # head chunk is being dispatched, the rest wait behind it.
-        self._pending: Deque[Tuple[int, Optional[int]]] = deque()
+        # Chunks the bitmap scan found, in arrival order, each as
+        # (bytes, chunk, poll wait).  Per-chunk dispatch work serializes
+        # within the agent's warp group: the head chunk is being
+        # dispatched, the rest wait behind it.
+        self._pending: Deque[_Found] = deque()
+        # The latest scheduled scan: its instant and the chunks it finds.
+        self._tick_at = math.nan
+        self._tick: List[_Found] = []
 
     # ------------------------------------------------------------------
     # Residency (resource steal)
@@ -117,30 +126,38 @@ class PollingAgent(DecoupledAgent):
         assert self._started_at is not None
         elapsed = engine.now - self._started_at
         wait = period - math.fmod(elapsed, period)
-        engine._call(wait, partial(self._polled, nbytes, chunk, wait))
+        tick = engine.now + wait
+        if tick == self._tick_at:
+            self._tick.append((nbytes, chunk, wait))
+            return
+        self._tick_at = tick
+        self._tick = [(nbytes, chunk, wait)]
+        engine._call(wait, partial(self._polled, self._tick))
 
-    def _polled(self, nbytes: int, chunk, wait: float) -> None:
-        """The bitmap scan found the chunk: queue it for dispatch."""
+    def _polled(self, found: List[_Found]) -> None:
+        """The bitmap scan found these chunks: queue them for dispatch."""
         engine = self.system.engine
-        # The bitmap scan that found this chunk is an agent wakeup.
-        if engine.tracer.enabled:
-            engine.tracer.record(
-                engine.now, f"gpu{self.src_id}.agent", "poll",
-                payload={"waited_s": wait})
-        if engine.metrics.enabled:
-            engine.metrics.inc("agent_polls", src=self.src_id)
-            engine.metrics.observe("poll_wait_us", wait * 1e6,
-                                   src=self.src_id)
-        pending = self._pending
-        pending.append((nbytes, chunk))
-        if len(pending) == 1:
+        if found is self._tick:
+            self._tick_at = math.nan
+        if not self._pending:
             engine._call(CHUNK_DISPATCH_OVERHEAD, self._dispatched)
+        self._pending.extend(found)
+        for _nbytes, _chunk, wait in found:
+            # Each chunk the scan found is an agent wakeup.
+            if engine.tracer.enabled:
+                engine.tracer.record(
+                    engine.now, f"gpu{self.src_id}.agent", "poll",
+                    payload={"waited_s": wait})
+            if engine.metrics.enabled:
+                engine.metrics.inc("agent_polls", src=self.src_id)
+                engine.metrics.observe("poll_wait_us", wait * 1e6,
+                                       src=self.src_id)
 
     def _dispatched(self) -> None:
         """The head chunk's dispatch work is done: start the next
         chunk's, then send this one."""
         pending = self._pending
-        nbytes, chunk = pending.popleft()
+        nbytes, chunk, _wait = pending.popleft()
         if pending:
             self.system.engine._call(CHUNK_DISPATCH_OVERHEAD,
                                      self._dispatched)

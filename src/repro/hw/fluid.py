@@ -18,6 +18,12 @@ Tasks may carry *milestones* at fractional progress points.  Kernels use
 milestones to signal "the CTAs writing chunk k have finished", which is
 what drives PROACT's readiness counters without simulating thousands of
 CTA processes individually.
+
+A milestone takes no heap entry: it fires inside the wakeup or share
+operation that crossed it, once the task list is consistent and the next
+wakeup armed, so its waiters may launch or stop tasks here.  Nor does a
+stopped task's unwaited ``done``: it is marked fired at once, and a later
+waiter (a process, an ``AllOf``) finds it so.
 """
 
 from __future__ import annotations
@@ -75,27 +81,19 @@ class FluidTask:
     def finished(self) -> bool:
         return self.done.triggered
 
-    @property
-    def progress(self) -> float:
-        """Fraction of work completed (0 for infinite tasks)."""
-        if math.isinf(self.work):
-            return 0.0
-        if self.work == 0:
-            return 1.0
-        return min(1.0, self.consumed / self.work)
-
     def _next_target(self) -> float:
         """The next service amount at which something must happen."""
         if self._next_milestone < len(self._milestones):
             return self._milestones[self._next_milestone][0]
         return self.work
 
-    def _fire_crossed_milestones(self) -> None:
+    def _cross_milestones(self, crossed: list) -> None:
+        """Append each milestone the consumed work has reached, in order."""
         while self._next_milestone < len(self._milestones):
             target, event = self._milestones[self._next_milestone]
             if self.consumed + _EPS < target:
                 break
-            event.succeed(self)
+            crossed.append((event, self))
             self._next_milestone += 1
 
 
@@ -113,11 +111,12 @@ class FluidShare:
         self._last_update = engine.now
         self.total_service = 0.0
         # The currently-armed wakeup: the absolute instant it fires at and
-        # a generation number.  A firing wakeup whose generation does not
-        # match is stale (superseded by a later state change) and ignored.
+        # its generation.  A firing wakeup of an older generation is stale
+        # (superseded by a later state change) and ignored.
         self._armed_time: float = math.nan
-        self._armed_gen = 0
         self._gen = 0
+        # Milestones the running operation crossed, fired at its end.
+        self._crossed: List[Tuple[Event, FluidTask]] = []
 
     # ------------------------------------------------------------------
     # Public API
@@ -154,8 +153,11 @@ class FluidShare:
             raise SimulationError(f"task {task.name!r} is not running here")
         self._tasks.remove(task)
         task.stopped = True
-        task._fire_crossed_milestones()
-        task.done.succeed(task)
+        task._cross_milestones(self._crossed)
+        if task.done.callbacks:
+            task.done.succeed(task)
+        else:
+            task.done._fire_now(task)  # nobody waits: no heap entry
         self._rebalance()
 
     def set_demand(self, task: FluidTask, demand: float) -> None:
@@ -175,18 +177,6 @@ class FluidShare:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _rates(self) -> None:
-        demand = self.total_demand
-        if demand <= self.capacity:
-            scale = 1.0
-        else:
-            scale = self.capacity / demand
-        # All tasks progress at the same *relative* speed; capacity is
-        # allotted in proportion to demand, so each task's own clock runs
-        # at `scale` of real time.
-        for task in self._tasks:
-            task._rate = scale
-
     def _advance(self) -> None:
         """Credit service for time elapsed since the last update."""
         now = self.engine.now
@@ -199,7 +189,7 @@ class FluidShare:
             progress = elapsed * task._rate
             task.consumed += progress
             self.total_service += progress * task.demand
-            task._fire_crossed_milestones()
+            task._cross_milestones(self._crossed)
             if task.consumed + _EPS >= task.work:
                 finished.append(task)
         for task in finished:
@@ -207,36 +197,45 @@ class FluidShare:
             task.done.succeed(task)
 
     def _rebalance(self) -> None:
-        """Recompute rates and schedule the next interesting instant.
+        """Recompute rates, arm the next interesting instant, then fire
+        the milestones the running operation crossed.
 
         Re-solves are batched by *fire time*: if the armed wakeup already
         fires at exactly the instant this re-solve wants, it is kept
         instead of being superseded by a fresh one.  Rates were just
-        recomputed above, so whichever wakeup fires simply credits
-        service at the then-current rates — the same work either way.
+        recomputed, so whichever wakeup fires simply credits service at
+        the then-current rates — the same work either way.
         """
-        self._rates()
+        demand = self.total_demand
+        scale = 1.0 if demand <= self.capacity else self.capacity / demand
         horizon = math.inf
         for task in self._tasks:
+            # All tasks progress at the same *relative* speed; capacity
+            # is allotted in proportion to demand, so each task's own
+            # clock runs at `scale` of real time.
+            task._rate = scale
             remaining = task._next_target() - task.consumed
-            if math.isinf(remaining) or task._rate <= 0:
-                continue
-            horizon = min(horizon, max(remaining, 0.0) / task._rate)
+            if not math.isinf(remaining):
+                horizon = min(horizon, max(remaining, 0.0) / scale)
         if math.isinf(horizon):
             # Nothing finite to wait for; any pending wakeup is stale.
             self._armed_time = math.nan
-            return
-        fire = self.engine.now + horizon
-        if fire == self._armed_time:
-            return  # the pending wakeup already covers this instant
-        self._gen += 1
-        gen = self._gen
-        self._armed_time = fire
-        self._armed_gen = gen
-        self.engine._call(horizon, partial(self._on_wakeup, gen))
+        elif self.engine.now + horizon != self._armed_time:
+            # (Otherwise the pending wakeup already covers this instant.)
+            self._gen += 1
+            self._armed_time = self.engine.now + horizon
+            self.engine._call(horizon, partial(self._on_wakeup, self._gen))
+        # The task list is consistent and the next wakeup armed: run the
+        # crossed milestones' waiters here, in crossing order.  A
+        # waiter's own operation on this share starts a fresh list.
+        crossed = self._crossed
+        if crossed:
+            self._crossed = []
+            for event, task in crossed:
+                event._fire_now(task)
 
     def _on_wakeup(self, gen: int) -> None:
-        if gen != self._armed_gen:
+        if gen != self._gen:
             return  # a newer state change superseded this wakeup
         self._armed_time = math.nan
         self._advance()

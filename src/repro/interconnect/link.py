@@ -5,12 +5,15 @@ GPU→switch, ...).  It is a FIFO server of service quanta: transfers
 offer it one quantum at a time, so concurrent flows interleave quantum
 by quantum and share bandwidth approximately fairly, the way packet
 interleaving shares a real link.  Serving a quantum is one callable
-engine heap entry that accounts the busy interval, hands the link to
-the head of its queue, and tells the quantum's transfer that the hop is
-clear (see :mod:`repro.interconnect.route`).  When that was a
-transfer's last hop on a route without latency, the same entry
-delivers it: a sender's completion callable runs inside it, and only a
-sender waiting on a receipt event costs one more entry.
+engine heap entry that counts its bytes, hands the link to the head of
+its queue, and tells the quantum's transfer that the hop is clear (see
+:mod:`repro.interconnect.route`).  When that was a transfer's last hop
+on a route without latency, the same entry delivers it: a sender's
+completion callable runs inside it, and only a sender waiting on a
+receipt event costs one more entry.  A link serves queued quanta back
+to back, so it records one busy interval per busy stretch, when the
+stretch ends; :attr:`Link.busy` adds the served part of an open one.
+These are the intervals a per-quantum record folds into, to the bit.
 
 Links account both *goodput* (useful payload bytes) and *wire bytes*
 (payload plus packet overhead), so interconnect efficiency is measurable
@@ -56,45 +59,55 @@ class Link:
         self.quantum = quantum
         self.goodput_bytes = 0
         self.wire_bytes = 0
-        self.busy = IntervalStats()
+        self._busy = IntervalStats()
         owner = _OWNER.search(name)
         self.owner_gpu = int(owner.group(1)) if owner else None
         # The (flow, hop) quanta waiting for the link, oldest first; the
-        # one in service with its (quantum, wire, service) step and start
-        # time; and the completion callback, bound once per link.
+        # one in service as (flow, hop, its (quantum, wire, service)
+        # step) and its start time; when the current busy stretch began;
+        # and the completion callback, bound once per link.
         self._queue: "deque[tuple[_Flow, int]]" = deque()
-        self._serving: "typing.Optional[_Flow]" = None
-        self._serving_hop = 0
-        self._serving_step = (0, 0, 0.0)
+        self._serving: "typing.Optional[tuple]" = None
         self._service_start = 0.0
+        self._stretch_start = 0.0
         self._on_served = self._served
+
+    @property
+    def busy(self) -> IntervalStats:
+        """The link's busy intervals, up to its last served quantum."""
+        if self._serving is not None \
+                and self._service_start > self._stretch_start:
+            self._busy.add(self._stretch_start, self._service_start)
+        return self._busy
 
     def offer(self, flow: "_Flow", hop: int) -> None:
         """Queue ``flow``'s next quantum for this link (its ``hop``)."""
         if self._serving is None:
+            self._stretch_start = self.engine._now
             self._serve(flow, hop)
         else:
             self._queue.append((flow, hop))
 
     def _serve(self, flow: "_Flow", hop: int) -> None:
         engine = self.engine
-        step = flow.step(hop)
-        self._serving = flow
-        self._serving_hop = hop
-        self._serving_step = step
+        step = (flow.full_plan if flow.progress[hop] < flow.full_quanta
+                else flow.tail_plan)[hop]
+        self._serving = (flow, hop, step)
         self._service_start = engine._now
         engine._call(step[2], self._on_served)
 
     def _served(self) -> None:
-        """One quantum cleared the link: account it, start the next one
-        queued, then let its flow move on (see :meth:`_Flow.cleared`)."""
-        flow, hop = self._serving, self._serving_hop
-        quantum, wire, _service = self._serving_step
-        self.account(self._service_start, self.engine._now, quantum, wire)
+        """One quantum cleared the link: count it, start the next one
+        queued or close the busy stretch, then let its flow move on
+        (see :meth:`_Flow.cleared`)."""
+        flow, hop, (quantum, wire, _service) = self._serving
+        self.goodput_bytes += quantum
+        self.wire_bytes += wire
         if self._queue:
             self._serve(*self._queue.popleft())
         else:
             self._serving = None
+            self._busy.add(self._stretch_start, self.engine._now)
         flow.cleared(hop)
 
     def service_time(self, wire_bytes: int) -> float:

@@ -11,9 +11,10 @@ links concurrently.  Delivery latency is paid once, after the final
 quantum.
 
 No process runs a transfer.  Each one is a small :class:`_Flow` record
-that counts, per hop, how many quanta have cleared it; the links serve
-the quanta (see :class:`~repro.interconnect.link.Link`).  When quantum
-*k* clears hop *h*, the link's callback accounts the busy interval,
+that counts, per hop, how many quanta have cleared it, and carries its
+per-hop framing, memoized per (payload, access size) on the route; the
+links serve the quanta (see :class:`~repro.interconnect.link.Link`).
+When quantum *k* clears hop *h*, the link's callback counts its bytes,
 hands the link to the head of its queue, then the flow offers quantum
 *k* to hop *h+1* (if quantum *k-1* has cleared it) and quantum *k+1* to
 hop *h* (if it has cleared hop *h-1*).  That order is part of the
@@ -88,11 +89,9 @@ class Route:
         self.links = tuple(links)
         self.latency = latency
         self._quantum = min(link.quantum for link in self.links)
-        # (quantum bytes, access_size) -> (plan, widest hop's wire
-        # bytes).  Every quantum except a possible tail is exactly
-        # ``_quantum`` bytes, and tails repeat across transfers of one
-        # size, so the per-hop framing and service time repeat verbatim.
-        self._plan_memo: dict = {}
+        # (payload bytes, access_size) -> shape: transfers of one size
+        # repeat (every chunk of a region, every step of a collective).
+        self._shapes: dict = {}
 
     @property
     def bottleneck_bandwidth(self) -> float:
@@ -112,38 +111,42 @@ class Route:
         check_transfer(payload_bytes, access_size)
         if payload_bytes == 0:
             return self._instant(payload_bytes, access_size, then)
+        shape = self._shapes.get((payload_bytes, access_size))
+        if shape is None:
+            shape = self._shape(payload_bytes, access_size)
+        flow = _Flow(self, payload_bytes, access_size, shape, then)
+        self.links[0].offer(flow, 0)
+        return flow.done
+
+    def _shape(self, payload_bytes: int, access_size: int) -> tuple:
+        """``(wire bytes, full quanta, quanta, full plan, tail plan)``:
+        the transfer split into full quanta and a tail, each framed on
+        every hop; its wire bytes are its widest hop's.  Memoized."""
         full_quanta, tail = divmod(payload_bytes, self._quantum)
         full_plan = tail_plan = None
         wire = 0
         if full_quanta:
-            full_plan, full_wire = self._plan(self._quantum, access_size)
-            wire = full_quanta * full_wire
+            full_plan = self._plan(self._quantum, access_size)
+            wire = full_quanta * max(hop[1] for hop in full_plan)
         if tail:
-            tail_plan, tail_wire = self._plan(tail, access_size)
-            wire += tail_wire
-        flow = _Flow(self, payload_bytes, access_size, wire, full_quanta,
-                     full_quanta + (1 if tail else 0), full_plan, tail_plan,
-                     then)
-        self.links[0].offer(flow, 0)
-        return flow.done
+            tail_plan = self._plan(tail, access_size)
+            wire += max(hop[1] for hop in tail_plan)
+        shape = self._shapes[(payload_bytes, access_size)] = (
+            wire, full_quanta, full_quanta + (1 if tail else 0),
+            full_plan, tail_plan)
+        return shape
 
-    def _plan(self, quantum: int, access_size: int) -> Tuple[_Plan, int]:
-        """Per-hop framing and service time of one ``quantum``-byte move,
-        and the widest hop's wire bytes; memoized per route.
+    def _plan(self, quantum: int, access_size: int) -> _Plan:
+        """Per-hop framing and service time of one ``quantum``-byte move.
 
         Each link frames the quantum with its own protocol overhead (a
         throttle pseudo-link has none; a PCIe link pays headers).
         """
-        key = (quantum, access_size)
-        memo = self._plan_memo.get(key)
-        if memo is None:
-            plan = []
-            for link in self.links:
-                wire = link.format.message_wire_bytes(quantum, access_size)
-                plan.append((quantum, wire, link.service_time(wire)))
-            memo = self._plan_memo[key] = (
-                tuple(plan), max(hop[1] for hop in plan))
-        return memo
+        plan = []
+        for link in self.links:
+            wire = link.format.message_wire_bytes(quantum, access_size)
+            plan.append((quantum, wire, link.service_time(wire)))
+        return tuple(plan)
 
     def _instant(self, payload_bytes: int, access_size: int,
                  then: Then = None) -> Optional[Event]:
@@ -180,43 +183,35 @@ class _Flow:
     ``progress[h]`` counts the quanta that have cleared hop ``h``, which
     is also the index of the quantum hop ``h`` serves or waits for
     next: a flow's quanta cross every hop in order, so at most one of
-    them is queued at or crossing any one hop.  ``done`` is the receipt
-    event, or ``None`` when the sender passed a ``then`` callable.
+    them is queued at or crossing any one hop.  Quanta below
+    ``full_quanta`` move as ``full_plan[h]``, a tail as
+    ``tail_plan[h]``.  ``done`` is the receipt event, or ``None`` when
+    the sender passed a ``then`` callable.
     """
 
-    __slots__ = ("route", "payload_bytes", "access_size", "wire_bytes",
-                 "full_quanta", "quanta", "full_plan", "tail_plan",
-                 "progress", "start_time", "done", "then")
+    __slots__ = ("route", "links", "payload_bytes", "access_size",
+                 "wire_bytes", "full_quanta", "quanta", "full_plan",
+                 "tail_plan", "progress", "start_time", "done", "then")
 
     def __init__(self, route: Route, payload_bytes: int, access_size: int,
-                 wire_bytes: int, full_quanta: int, quanta: int,
-                 full_plan: Optional[_Plan],
-                 tail_plan: Optional[_Plan], then: Then) -> None:
+                 shape: tuple, then: Then) -> None:
         self.route = route
+        self.links = route.links
         self.payload_bytes = payload_bytes
         self.access_size = access_size
-        self.wire_bytes = wire_bytes
-        self.full_quanta = full_quanta
-        self.quanta = quanta
-        self.full_plan = full_plan
-        self.tail_plan = tail_plan
+        (self.wire_bytes, self.full_quanta, self.quanta, self.full_plan,
+         self.tail_plan) = shape
         self.progress = [0] * len(route.links)
-        self.start_time = route.engine.now
+        self.start_time = route.engine._now
         self.done = Event(route.engine) if then is None else None
         self.then = then
-
-    def step(self, hop: int) -> Tuple[int, int, float]:
-        """``(quantum, wire, service)`` of the quantum ``hop`` serves."""
-        if self.progress[hop] < self.full_quanta:
-            return self.full_plan[hop]
-        return self.tail_plan[hop]
 
     def cleared(self, hop: int) -> None:
         """The next quantum cleared ``hop``: move it, and its successor, on."""
         progress = self.progress
         k = progress[hop]
         progress[hop] = k + 1
-        links = self.route.links
+        links = self.links
         if hop + 1 < len(links):
             if progress[hop + 1] == k:
                 links[hop + 1].offer(self, hop + 1)

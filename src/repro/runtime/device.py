@@ -5,8 +5,8 @@ CUDA-like runtime exposes:
 
 * ``launch_kernel`` — kernel launch latency, then fluid-share execution,
   with externally visible progress-milestone events.  A milestone
-  event's waiters run in the heap entry of the fluid task's own
-  milestone, so a milestone costs no entry of its own.
+  event's waiters run inside the fluid wakeup or share operation that
+  crossed it, so a milestone costs no entry of its own.
 * ``memcpy_peer`` — DMA-engine bulk copy: host-side initiation overhead,
   engine serialization, then a max-payload-efficiency fabric transfer.
 * ``cdp_launch`` — CUDA Dynamic Parallelism: a driver-serialized launch
@@ -60,8 +60,8 @@ class KernelLaunch:
         self.started_at = engine.now
         task = device.gpu.compute.launch(
             self.name, self.work, self._demand, self._milestones)
-        # Each milestone's waiters run in the entry of the task's own
-        # milestone, not one entry later.
+        # Each milestone's waiters run where the task's own milestone
+        # fires, inside the fluid operation that crossed it.
         for external, internal in zip(self.milestone_events,
                                       task.milestone_events):
             assert internal.callbacks is not None

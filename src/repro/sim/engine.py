@@ -24,12 +24,13 @@ written for constant-factor speed without changing a single simulated
 result:
 
 * **Callable heap entries** — the engine's own waits (a link serving a
-  quantum, a route's delivery latency, a fluid wakeup, a process's
-  start, bounce and :meth:`_sleep`) put a plain callable on the heap
-  instead of an :class:`~repro.sim.events.Event`.  An entry
-  ``(time, priority, seq, fn)`` runs ``fn()`` under the same ordering
-  key, sequence numbering and ``events_fired`` count an event would
-  have, so only the event object and its callback list are saved.
+  quantum, a fluid wakeup, an agent's poll tick, a process's start and
+  :meth:`_sleep`) put a plain callable on the heap instead of an
+  :class:`~repro.sim.events.Event`.  An entry ``(time, priority, seq,
+  fn)`` runs ``fn()`` under the ordering key, sequence number and
+  ``events_fired`` count an event would have.  A relay of something
+  that just happened (a fluid milestone, an unwaited stopped task's
+  ``done``) takes no entry: it fires inside the entry that caused it.
 """
 
 from __future__ import annotations

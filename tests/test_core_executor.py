@@ -264,21 +264,33 @@ def test_cdp_agent_and_cdp_launch_share_the_driver_queue():
     assert device.cdp_launch_count == 3
 
 
-def test_polling_dispatch_serializes_same_instant_chunks():
-    """Chunks one poll tick finds leave the dispatcher one dispatch
-    overhead apart, in the order they became ready."""
+def test_polling_dispatch_serializes_same_instant_chunks(monkeypatch):
+    """Chunks that become ready before one bitmap scan, at one instant
+    or not, are found by one tick entry and leave the dispatcher one
+    dispatch overhead apart, in the order they became ready."""
+    ticks = []
+    polled = PollingAgent._polled
+
+    def counting_polled(agent, found):
+        ticks.append([nbytes for nbytes, _chunk, _wait in found])
+        polled(agent, found)
+
+    monkeypatch.setattr(PollingAgent, "_polled", counting_polled)
     system = volta_system(tracer=Tracer())
     config = ProactConfig(MECH_POLLING, 64 * KiB, 512)
     agent = PollingAgent(system, 0, config, destinations=[1])
     agent.start()
+    tick = config.poll_period
     sizes = [64 * KiB, 192 * KiB, 128 * KiB]
-    for nbytes in sizes:
-        agent.chunk_ready(nbytes)
+    agent.chunk_ready(sizes[0])
+    agent.chunk_ready(sizes[1])
+    system.run(until=tick / 2)
+    agent.chunk_ready(sizes[2])
     system.run(until=agent.close())
     agent.stop()
+    assert ticks == [sizes]
     sends = sorted((record.time, record.payload["bytes"])
                    for record in system.tracer.channel("gpu0.transfer"))
-    tick = config.poll_period
     assert sends == [
         (pytest.approx(tick + k * CHUNK_DISPATCH_OVERHEAD), nbytes)
         for k, nbytes in enumerate(sizes, start=1)]
@@ -332,6 +344,28 @@ def test_kernel_milestones_cost_no_entry_of_their_own():
 
     assert (kernel_entries(milestones) - kernel_entries([])
             == task_entries(milestones) - task_entries([]))
+
+
+# One GPU produces a 4 MiB region in 64 KiB chunks for the other three.
+# Heap entry counts are deterministic, so they pin exactly.  Where a
+# milestone, an unwaited stopped task's ``done`` and each chunk's poll
+# tick took an entry of their own, the counts were 864, 801 and 988:
+# - polling saves the 64 milestones and the resident task's stop; its
+#   chunks' ticks fall at 64 distinct instants;
+# - without readiness tracking all 64 chunks reach the agent at kernel
+#   end, so one tick entry carries them: 65 + 63 fewer;
+# - CDP saves the 64 milestones and its 64 copy tasks' stops.
+@pytest.mark.parametrize("mechanism,mechanisms,events", [
+    (MECH_POLLING, None, 799),
+    (MECH_POLLING, Mechanisms(readiness_tracking=False), 673),
+    (MECH_CDP, None, 860),
+], ids=["polling", "polling-tracking-off", "cdp"])
+def test_decoupled_phase_heap_entries_pinned(mechanism, mechanisms,
+                                             events):
+    system = volta_system(mechanisms=mechanisms)
+    run_phase(system, ProactConfig(mechanism, 64 * KiB, 1024),
+              one_producer_phase(system, region_bytes=4 * MiB))
+    assert system.engine.events_fired == events
 
 
 def test_more_transfer_threads_speed_up_drain():

@@ -159,6 +159,54 @@ def test_infinite_task_stopped_explicitly():
     assert agent.consumed == pytest.approx(2.0)  # uncontended: full speed
 
 
+def test_late_waiter_sees_an_unwaited_stopped_task_done():
+    """A stopped task nobody waits on (an agent's copy task) takes no
+    heap entry for its ``done``, yet a process or an ``AllOf`` that
+    waits on it afterwards still resumes."""
+    engine, share = make_share()
+    copy = share.launch("cdp-copy", work=math.inf, demand=0.25)
+    resumed = []
+
+    def stopper(engine):
+        yield engine.timeout(1.0)
+        share.stop(copy)
+        fired = engine.events_fired
+        yield engine.timeout(1.0)
+        # The stop scheduled nothing: one entry, this timeout's.
+        resumed.append(("entries", engine.events_fired - fired))
+        value = yield copy.done
+        resumed.append(("process", engine.now, value))
+        yield engine.all_of([copy.done, engine.timeout(0.5)])
+        resumed.append(("all_of", engine.now))
+
+    engine.run(until=engine.process(stopper(engine)))
+    assert copy.done.processed and copy.stopped
+    assert resumed == [("entries", 1), ("process", 2.0, copy),
+                       ("all_of", 2.5)]
+
+
+def test_milestone_waiters_may_launch_and_stop_on_their_share():
+    """A milestone fires inside the operation that crossed it, after the
+    share is consistent: a waiter that stops one task and launches
+    another leaves correct rates and a correctly armed wakeup."""
+    engine, share = make_share()
+    kernel = share.launch("kernel", work=2.0, milestones=[0.5])
+    agent = share.launch("agent", work=math.inf, demand=1.0)
+    launched = []
+
+    def on_milestone(_event):
+        share.stop(agent)
+        launched.append(share.launch("copy", work=0.5, demand=1.0))
+
+    kernel.milestone_events[0].callbacks.append(on_milestone)
+    engine.run(until=kernel.done)
+    # Half rate until the milestone at t=2, then the kernel and the
+    # copy share the GPU: the copy ends at t=3, the kernel at t=3.5.
+    assert engine.now == pytest.approx(3.5)
+    assert launched[0].finished and agent.stopped
+    assert share.total_demand == 0
+
+
 def test_stop_finished_task_rejected():
     engine, share = make_share()
     task = share.launch("t", work=0.1)
