@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import typing
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -46,7 +46,8 @@ class FluidTask:
     """One consumer of a :class:`FluidShare`'s capacity."""
 
     def __init__(self, engine: "Engine", name: str, work: float,
-                 demand: float, milestones: Sequence[float] = ()) -> None:
+                 demand: float, milestones: Sequence[float] = (),
+                 events: Optional[Sequence[Event]] = None) -> None:
         if demand <= 0:
             raise SimulationError(f"task demand must be > 0: {demand}")
         if work < 0:
@@ -60,15 +61,17 @@ class FluidTask:
         self.done = Event(engine)
         self.stopped = False
         self._milestones: List[Tuple[float, Event]] = []
+        if events is None:
+            events = [Event(engine) for _ in milestones]
         last = 0.0
-        for fraction in milestones:
+        for fraction, event in zip(milestones, events):
             if not 0.0 < fraction <= 1.0:
                 raise SimulationError(
                     f"milestone fraction out of (0, 1]: {fraction}")
             if fraction < last:
                 raise SimulationError("milestones must be non-decreasing")
             last = fraction
-            self._milestones.append((fraction * work, Event(engine)))
+            self._milestones.append((fraction * work, event))
         self._next_milestone = 0
         self._rate = 0.0
 
@@ -133,9 +136,11 @@ class FluidShare:
         return demand / self.capacity
 
     def launch(self, name: str, work: float, demand: float = 1.0,
-               milestones: Sequence[float] = ()) -> FluidTask:
-        """Start a task; its ``done`` event fires when the work completes."""
-        task = FluidTask(self.engine, name, work, demand, milestones)
+               milestones: Sequence[float] = (),
+               events: Optional[Sequence[Event]] = None) -> FluidTask:
+        """Start a task; its ``done`` event fires when the work completes
+        and ``events`` (built here if not given) at its ``milestones``."""
+        task = FluidTask(self.engine, name, work, demand, milestones, events)
         if work == 0:
             task.done.succeed(task)
             return task

@@ -13,16 +13,17 @@ quantum.
 No process runs a transfer.  Each one is a small :class:`_Flow` record
 that counts, per hop, how many quanta have cleared it, and carries its
 per-hop framing, memoized per (payload, access size) on the route; the
-links serve the quanta (see :class:`~repro.interconnect.link.Link`).
-When quantum *k* clears hop *h*, the link's callback counts its bytes,
-hands the link to the head of its queue, then the flow offers quantum
-*k* to hop *h+1* (if quantum *k-1* has cleared it) and quantum *k+1* to
-hop *h* (if it has cleared hop *h-1*).  That order is part of the
-model: it fixes which quantum joins a link's queue first when several
-clear at one instant.  Equal flows on a link interleave round-robin by
-quantum, and a quantum from upstream whose hop clears at the instant a
-link frees, but later in schedule order, queues behind the next quantum
-of the flow the link just served.  A transfer of *n* quanta over *h*
+links serve the quanta and move the flows on (see
+:class:`~repro.interconnect.link.Link`).  When quantum *k* clears hop
+*h*, the link's callback counts its bytes, hands the link to the head
+of its queue, then offers quantum *k* to hop *h+1* (if quantum *k-1*
+has cleared it) or delivers the transfer after its last hop, and
+offers quantum *k+1* to hop *h* (if it has cleared hop *h-1*).  That
+order is part of the model: it fixes which quantum joins a link's
+queue first when several clear at one instant.  Equal flows on a link
+interleave round-robin by quantum, and a quantum from upstream whose
+hop clears at the instant a link frees, but later in schedule order,
+queues behind the next quantum of the flow the link just served.  A transfer of *n* quanta over *h*
 hops costs *n·h* engine events, plus one for the delivery latency and,
 for a caller that waits on the returned receipt :class:`Event`, one for
 that event.  A caller that passes a completion callable (``then``) gets
@@ -160,8 +161,9 @@ class Route:
                 wire_bytes: int, access_size: int, start_time: float) -> None:
         """Trace the transfer on the source's lane, then run ``then`` or
         fire ``done``."""
-        now = self.engine.now
-        tracer = self.engine.tracer
+        engine = self.engine
+        now = engine._now
+        tracer = engine.tracer
         if tracer.enabled:
             tracer.span(start_time, now,
                         f"gpu{self.src}.transfer", f"->gpu{self.dst}",
@@ -185,8 +187,10 @@ class _Flow:
     next: a flow's quanta cross every hop in order, so at most one of
     them is queued at or crossing any one hop.  Quanta below
     ``full_quanta`` move as ``full_plan[h]``, a tail as
-    ``tail_plan[h]``.  ``done`` is the receipt event, or ``None`` when
-    the sender passed a ``then`` callable.
+    ``tail_plan[h]``.  The links advance ``progress`` as they serve
+    (:meth:`Link._served <repro.interconnect.link.Link._served>`).
+    ``done`` is the receipt event, or ``None`` when the sender passed a
+    ``then`` callable.
     """
 
     __slots__ = ("route", "links", "payload_bytes", "access_size",
@@ -205,24 +209,6 @@ class _Flow:
         self.start_time = route.engine._now
         self.done = Event(route.engine) if then is None else None
         self.then = then
-
-    def cleared(self, hop: int) -> None:
-        """The next quantum cleared ``hop``: move it, and its successor, on."""
-        progress = self.progress
-        k = progress[hop]
-        progress[hop] = k + 1
-        links = self.links
-        if hop + 1 < len(links):
-            if progress[hop + 1] == k:
-                links[hop + 1].offer(self, hop + 1)
-        elif k + 1 == self.quanta:
-            latency = self.route.latency
-            if latency > 0:
-                self.route.engine._call(latency, self._delivered)
-            else:
-                self._delivered()
-        if k + 1 < self.quanta and (hop == 0 or progress[hop - 1] > k + 1):
-            links[hop].offer(self, hop)
 
     def _delivered(self) -> None:
         self.route._finish(self.done, self.then, self.payload_bytes,

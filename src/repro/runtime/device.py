@@ -4,9 +4,10 @@
 CUDA-like runtime exposes:
 
 * ``launch_kernel`` — kernel launch latency, then fluid-share execution,
-  with externally visible progress-milestone events.  A milestone
-  event's waiters run inside the fluid wakeup or share operation that
-  crossed it, so a milestone costs no entry of its own.
+  with externally visible progress-milestone events.  The fluid task
+  fires the launch's own milestone events, and their waiters run
+  inside the wakeup or share operation that crossed them, so a
+  milestone costs no entry of its own.
 * ``memcpy_peer`` — DMA-engine bulk copy: host-side initiation overhead,
   engine serialization, then a max-payload-efficiency fabric transfer.
 * ``cdp_launch`` — CUDA Dynamic Parallelism: a driver-serialized launch
@@ -58,15 +59,11 @@ class KernelLaunch:
         engine = device.system.engine
         yield engine._sleep(device.gpu.spec.kernel_launch_latency)
         self.started_at = engine.now
+        # The task fires this launch's own milestone events, inside the
+        # fluid operation that crosses each one.
         task = device.gpu.compute.launch(
-            self.name, self.work, self._demand, self._milestones)
-        # Each milestone's waiters run where the task's own milestone
-        # fires, inside the fluid operation that crossed it.
-        for external, internal in zip(self.milestone_events,
-                                      task.milestone_events):
-            assert internal.callbacks is not None
-            internal.callbacks.append(
-                lambda event, ext=external: ext._fire_now(event._value))
+            self.name, self.work, self._demand, self._milestones,
+            self.milestone_events)
         yield task.done
         self.finished_at = engine.now
         return self

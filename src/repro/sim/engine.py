@@ -31,11 +31,17 @@ result:
   ``events_fired`` count an event would have.  A relay of something
   that just happened (a fluid milestone, an unwaited stopped task's
   ``done``) takes no entry: it fires inside the entry that caused it.
+* **One dispatch loop** — every form of :meth:`run`, and :meth:`step`,
+  is one private loop that pops, checks the clock, counts and
+  dispatches each entry inline, in one ``try`` that stamps ``sim_time``
+  on whatever escapes: no entry costs a method call of the engine's.
 """
 
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
+from math import inf as _INF
+from types import SimpleNamespace
 from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
@@ -52,6 +58,9 @@ from repro.sim.trace import NULL_TRACER, Tracer
 
 _HeapEntry = Tuple[float, int, int, Union[Event, Callable[[], None]]]
 
+#: The ``stop`` of a dispatch loop that runs until the heap drains.
+_NEVER = SimpleNamespace(_processed=False)
+
 
 class Engine:
     """Discrete-event simulation engine with a heap-based event queue.
@@ -60,8 +69,8 @@ class Engine:
     :class:`~repro.sim.trace.Tracer` and a metrics registry, both no-ops
     by default, that every component holding an engine reference can
     publish into (``engine.tracer`` / ``engine.metrics``).  Scheduling
-    itself is always counted (two integer increments); nothing is traced
-    per event.
+    itself is always counted (one integer increment per entry scheduled
+    and one per entry fired); nothing is traced per event.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
@@ -79,13 +88,17 @@ class Engine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.sanitizer = sanitizer
-        self.events_scheduled = 0
         self.events_fired = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def events_scheduled(self) -> int:
+        """Heap entries scheduled so far (each took a sequence number)."""
+        return self._sequence
 
     # ------------------------------------------------------------------
     # Event construction helpers
@@ -115,7 +128,6 @@ class Engine:
         """Run ``fn()`` ``delay`` (>= 0) seconds from now, as one heap entry."""
         _heappush(self._heap, (self._now + delay, priority, self._sequence, fn))
         self._sequence += 1
-        self.events_scheduled += 1
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
@@ -136,7 +148,6 @@ class Engine:
         _heappush(
             self._heap, (self._now + delay, priority, self._sequence, event))
         self._sequence += 1
-        self.events_scheduled += 1
 
     def _attach_time(self, exc: BaseException) -> BaseException:
         """Stamp the current simulation time onto a surfacing error.
@@ -164,33 +175,9 @@ class Engine:
             raise self._attach_time(
                 DeadlockError(f"no scheduled events remain "
                               f"(t={self._now:.9g}s)"))
-        when, _priority, _seq, item = _heappop(heap)
-        if when < self._now:
-            raise self._attach_time(SimulationError(
-                "event heap corrupted: time went backwards"))
-        self._now = when
-        self.events_fired += 1
-        try:
-            if not isinstance(item, Event):
-                item()
-                return
-            callbacks = item.callbacks
-            item._processed = True
-            item.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(item)
-            else:
-                ok = item._ok
-                if ok is None:
-                    raise SimulationError("event has not been triggered yet")
-                if not ok and not item._defused:
-                    # An unhandled failure with nobody waiting must not
-                    # pass silently.
-                    raise item._value
-        except BaseException as exc:
-            self._attach_time(exc)
-            raise
+        # The shared loop over a heap of just that entry: whatever it
+        # schedules goes on the engine's own heap, for a later step.
+        self._dispatch([_heappop(heap)], _INF, _NEVER)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -199,33 +186,61 @@ class Engine:
         (run until that simulated time), or an :class:`Event` (run until it
         is processed, returning its value).
         """
-        step = self.step
         if until is None:
-            heap = self._heap
-            while heap:
-                step()
+            self._dispatch(self._heap, _INF, _NEVER)
             return None
         if isinstance(until, Event):
-            return self._run_until_event(until)
+            self._dispatch(self._heap, _INF, until)
+            if not until.ok:
+                raise self._attach_time(until.value)
+            return until.value
         deadline = float(until)
         if deadline < self._now:
             raise SimulationError(
                 f"until={deadline} is in the past (now={self._now})")
-        heap = self._heap
-        while heap and heap[0][0] <= deadline:
-            step()
+        self._dispatch(self._heap, deadline, _NEVER)
         self._now = deadline
         return None
 
-    def _run_until_event(self, event: Event) -> Any:
-        step = self.step
-        heap = self._heap
-        while not event._processed:
-            if not heap:
-                raise self._attach_time(DeadlockError(
-                    f"event queue drained before {event!r} was processed "
-                    f"(t={self._now:.9g}s)"))
-            step()
-        if not event.ok:
-            raise self._attach_time(event.value)
-        return event.value
+    def _dispatch(self, heap: List[_HeapEntry], deadline: float,
+                  stop: Any) -> None:
+        """Run ``heap``'s entries in order until ``stop`` is processed,
+        the next one is due after ``deadline`` or the heap is empty (a
+        deadlock if ``stop`` is an event).  Every form of :meth:`run`,
+        and :meth:`step`, is this one loop."""
+        pop = _heappop
+        try:
+            while not stop._processed:
+                if not heap:
+                    if stop is _NEVER:
+                        return
+                    raise DeadlockError(
+                        f"event queue drained before {stop!r} was "
+                        f"processed (t={self._now:.9g}s)")
+                when, priority, seq, item = pop(heap)
+                if when > deadline:
+                    _heappush(heap, (when, priority, seq, item))
+                    return
+                if when < self._now:
+                    raise SimulationError(
+                        "event heap corrupted: time went backwards")
+                self._now = when
+                self.events_fired += 1
+                if not isinstance(item, Event):
+                    item()
+                    continue
+                callbacks = item.callbacks
+                item._processed = True
+                item.callbacks = None
+                if callbacks:
+                    for callback in callbacks:
+                        callback(item)
+                elif item._ok is None:
+                    raise SimulationError("event has not been triggered yet")
+                elif not item._ok and not item._defused:
+                    # An unhandled failure with nobody waiting must not
+                    # pass silently.
+                    raise item._value
+        except BaseException as exc:
+            self._attach_time(exc)
+            raise

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.interconnect import NVLINK_FORMAT, PCIE3_FORMAT, Link
 from repro.interconnect.route import InfiniteRoute, Route
 from repro.sim import Engine
+from repro.sim.trace import IntervalStats
 
 
 def make_link(engine, bandwidth=1e9, fmt=NVLINK_FORMAT, quantum=64 * 1024,
@@ -246,3 +247,47 @@ def test_transfer_fires_one_event_per_quantum_hop(quanta, latency, events):
     route.transfer(quanta * Q, access_size=256)
     engine.run()
     assert engine.events_fired == events
+
+
+@pytest.mark.parametrize("read_when_idle", [True, False])
+def test_busy_stretch_reoffered_at_the_instant_it_ends_matches_per_quantum_records(
+        read_when_idle):
+    """A link that goes idle and is offered a quantum at that same
+    instant keeps one busy stretch.  Read mid-stretch, once idle (or
+    not), after the re-offer, during a real gap and at the end,
+    ``Link.busy`` holds exactly the intervals one record per served
+    quantum gives."""
+    engine = Engine()
+    link = make_link(engine, bandwidth=1e9)
+    route = Route(engine, 0, 1, [link], latency=0.0)
+    s = full_quantum_service(link)
+    reads = []
+
+    def read():
+        reads.append(link.busy.intervals)
+
+    def first_delivered():
+        if read_when_idle:
+            read()  # idle, at the instant the stretch ended
+        route.transfer(Q, access_size=256)
+        read()  # re-offered at that instant
+
+    route.transfer(2 * Q, access_size=256, then=first_delivered)
+    engine._call(s + s / 2, read)  # mid-stretch, on the second quantum
+    if read_when_idle:
+        engine._call(after(s, s, s) + s, read)  # idle, in a gap
+    gap_end = after(s, s, s) + 2 * s
+    engine._call(gap_end, lambda: route.transfer(Q, access_size=256))
+    engine.run()
+    read()
+
+    served = [(0.0, after(s)), (after(s), after(s, s)),
+              (after(s, s), after(s, s, s)), (gap_end, gap_end + s)]
+    per_quantum = []
+    for last in (1, 2, 2, 3, 4) if read_when_idle else (1, 2, 4):
+        stats = IntervalStats()
+        for start, end in served[:last]:
+            stats.add(start, end)
+        per_quantum.append(stats.intervals)
+    assert reads == per_quantum
+    assert per_quantum[-1] == [(0.0, after(s, s, s)), (gap_end, gap_end + s)]

@@ -68,6 +68,18 @@ def test_kernel_milestones_visible_externally():
     assert fired[1] == (1, pytest.approx(latency + 1e-3))
 
 
+def test_kernel_milestones_are_fired_by_the_fluid_task_itself():
+    """The launch hands its milestone events to its fluid task, which
+    fires them (with itself as the value): no relay event in between."""
+    system = System(PLATFORM_4X_VOLTA)
+    launch = system.device(0).launch_kernel(
+        "k", work=1e-3, milestones=[0.5, 1.0])
+    system.run(until=launch.done)
+    task = launch.milestone_events[0].value
+    assert task.milestone_events == launch.milestone_events
+    assert launch.milestone_events[1].value is task
+
+
 def test_kernels_on_different_gpus_run_in_parallel():
     system = System(PLATFORM_4X_VOLTA)
     launches = [system.device(i).launch_kernel(f"k{i}", work=1e-3)

@@ -390,3 +390,108 @@ def test_process_sleep_rejects_negative_delay():
     engine = Engine()
     with pytest.raises(SimulationError):
         engine._sleep(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# One dispatch loop behind run(), run(until=t), run(until=event) and step()
+# ---------------------------------------------------------------------------
+
+def _mixed_scenario():
+    """Events, callables and urgent entries, most of them due at one
+    instant, and a callable that schedules more at that instant."""
+    engine = Engine()
+    order = []
+
+    def note(tag):
+        return lambda *_args: order.append(tag)
+
+    engine.timeout(1.0).callbacks.append(note("timeout"))
+    engine._call(1.0, note("call"))
+    engine._call(1.0, note("urgent call"), PRIORITY_URGENT)
+
+    def chain():
+        order.append("chain")
+        engine._call(0.0, note("urgent from chain"), PRIORITY_URGENT)
+        engine.event().succeed().callbacks.append(note("event from chain"))
+        engine._call(0.0, note("call from chain"))
+
+    engine._call(1.0, chain)
+
+    def body(engine):
+        yield engine.timeout(1.0)
+        order.append("process woke")
+        yield engine._sleep(1.0)
+        order.append("process slept")
+        return "end"
+
+    last = engine.process(body(engine))
+    return engine, order, last
+
+
+def _run_to_end(engine, _last):
+    engine.run()
+
+
+def _run_until_time(engine, _last):
+    engine.run(until=1.0)
+    engine.run(until=2.0)
+
+
+def _run_until_event(engine, last):
+    assert engine.run(until=last) == "end"
+
+
+def _step_to_end(engine, _last):
+    while engine._heap:
+        engine.step()
+
+
+@pytest.mark.parametrize("drive", [_run_to_end, _run_until_time,
+                                   _run_until_event, _step_to_end])
+def test_every_run_form_dispatches_the_same_entries_in_the_same_order(drive):
+    engine, order, last = _mixed_scenario()
+    drive(engine, last)
+    assert order == ["urgent call", "timeout", "call", "chain",
+                     "urgent from chain", "process woke",
+                     "event from chain", "call from chain",
+                     "process slept"]
+    assert (engine.now, engine.events_fired) == (2.0, 11)
+    assert engine.events_scheduled == 11
+    assert not engine._heap
+
+
+@pytest.mark.parametrize("form", ["until time", "until event", "step"])
+def test_callable_raising_in_any_run_form_carries_sim_time(form):
+    """The other forms of ``test_callable_raising_carries_sim_time``."""
+    engine = Engine()
+
+    def crash():
+        raise RuntimeError("link fault")
+
+    engine._call(0.25, lambda: None)
+    engine._call(0.75, crash)
+    never = engine.event()
+    with pytest.raises(RuntimeError, match="link fault") as err:
+        if form == "until time":
+            engine.run(until=5.0)
+        elif form == "until event":
+            engine.run(until=never)
+        else:
+            engine.step()
+            engine.step()
+    assert err.value.sim_time == 0.75
+    assert "t=0.75s" in "".join(getattr(err.value, "__notes__", []))
+    assert engine.events_fired == 2
+
+
+def test_drained_heap_deadlocks_with_the_time_it_drained_at():
+    engine = Engine()
+    engine._call(0.5, lambda: None)
+    engine.timeout(1.5)
+    orphan = engine.event()
+    with pytest.raises(DeadlockError, match="drained before") as err:
+        engine.run(until=orphan)
+    assert err.value.sim_time == 1.5
+    assert engine.events_fired == 2
+    with pytest.raises(DeadlockError, match="no scheduled events remain"):
+        engine.step()
