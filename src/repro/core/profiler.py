@@ -38,17 +38,21 @@ and clock rounding, so ``bound <= floor <= runtime``.
 One heap holds every candidate at its best known lower bound — the
 analytic bound until its floor has run, then the floor.  A popped bound
 becomes a floor run, whose result goes back on the heap; a popped floor
-becomes a measurement.  A candidate is skipped only when its bound or
+becomes a measurement.  While no runtime is known no floor can prune,
+so the first wave's head, the least analytic bound, is measured at once
+instead of floored.  A candidate is skipped only when its bound or
 floor *strictly* exceeds the best runtime measured so far: its real
 runtime would then exceed the incumbent, so it can neither be the
 argmin nor tie the minimum.  Every entry the exhaustive sweep would
 rank first — including all runtime ties — is therefore measured, and
 :attr:`ProfileResult.best` is identical to brute force.  Because a
-bound never exceeds its floor, floors pop in ``(floor, config)`` order,
-the order of a sweep that runs every floor first: serially the sweep
-measures exactly the candidates whose floor does not exceed the best
-runtime, the least any floor-pruned search can measure, in the same
-order and bitwise equal; only the floors it runs are fewer.  With
+bound never exceeds its floor, popped values never decrease, so with
+``R*`` the best runtime a serial sweep floors exactly the candidates
+whose bound does not exceed ``R*`` except the head, and measures
+exactly those whose floor does not exceed ``R*`` plus the head.  A
+sweep that floors before it measures would floor the head too (its
+bound is at most the argmin's), so measuring first saves one floor and
+costs a measurement only when the head's floor exceeds ``R*``.  With
 ``jobs=N`` each wave pops up to ``N`` entries, floor runs and
 measurements alike, re-checking them against the freshest incumbent
 between waves.
@@ -819,6 +823,9 @@ class Profiler:
         becomes a floor task whose result goes back on the heap; a
         popped floor becomes a measurement.  Each wave pops up to
         ``jobs`` entries whose value does not exceed the incumbent.
+        The first wave measures its head (the least bound) directly and
+        floors the rest, so serially the floors run are one fewer than
+        a floor-before-measure search's.
         """
         candidates = self._full_grid()
         bounds = _floor_bounds(self.platform, phase_builder, candidates,
@@ -836,6 +843,10 @@ class Profiler:
             tasks = [_floor_task(config) if kind == "bound"
                      else _measure_task(config)
                      for _value, _order, kind, config in wave]
+            if incumbent == math.inf:
+                # No incumbent, so no floor can prune yet: measure the
+                # least-bound candidate instead of flooring it first.
+                tasks[0] = _measure_task(wave[0][3])
             measuring = sum(task[3] == "measure" for task in tasks)
             if measuring:
                 telemetry.certify_wave(measuring)
@@ -844,8 +855,9 @@ class Profiler:
                 results = session.map(tasks)
             floors: Dict[ProactConfig, float] = {}
             measured: List[ProfileEntry] = []
-            for (_value, order, kind, config), result in zip(wave, results):
-                if kind == "bound":
+            for (_value, order, _kind, config), task, result in zip(
+                    wave, tasks, results):
+                if task[3] == "floor":
                     floors[config] = result
                     heapq.heappush(heap, (result, order, "floor", config))
                 else:

@@ -8,6 +8,8 @@ analytic bound that decides which floors run must never exceed a floor.
 The randomized shapes come from :mod:`tests.strategies`.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,18 @@ from repro.core import (
     MECH_INLINE,
     Mechanisms,
     ProactConfig,
+    ProfileEntry,
     Profiler,
 )
-from repro.core.profiler import _floor_bounds, run_phases
+from repro.core import profiler as profiler_module
+from repro.core.profiler import (
+    _config_order,
+    _entry_order,
+    _floor_bounds,
+    _sweep_task,
+    _SweepTelemetry,
+    run_phases,
+)
 from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
 from repro.units import KiB, MiB
 from repro.workloads import (
@@ -80,23 +91,112 @@ def test_search_returns_exhaustive_argmin(platform, grid, make_workload):
 @pytest.mark.parametrize("make_workload", WORKLOADS,
                          ids=["pagerank", "jacobi"])
 def test_serial_search_measures_exactly_the_contending_floors(
-        make_workload):
+        make_workload, monkeypatch):
     """Serially, best-first measures exactly {c : floor(c) <= best
-    runtime}: every such candidate must be measured by any floor-pruned
-    search, and nothing else is."""
+    runtime} plus the least-bound candidate, which it measures without a
+    floor; it floors exactly {c : bound(c) <= best runtime} minus that
+    candidate, the set an all-bounds-first search floors, less one."""
     kwargs = dict(chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB, 16 * MiB),
                   thread_counts=(2048,))
     builder = make_workload().phase_builder()
     brute = Profiler(PLATFORM_4X_VOLTA, search="exhaustive",
                      **kwargs).profile(builder)
+    floored = []
+
+    def recording_task(platform, phase_builder, task, toggles=None):
+        if task[3] == "floor":
+            floored.append(ProactConfig(*task[:3]))
+        return _sweep_task(platform, phase_builder, task, toggles=toggles)
+
+    monkeypatch.setattr(profiler_module, "_sweep_task", recording_task)
     searched = Profiler(PLATFORM_4X_VOLTA, search="search",
                         **kwargs).profile(builder)
+    grid = [entry.config for entry in brute.entries]
+    bounds = _floor_bounds(PLATFORM_4X_VOLTA, builder, grid, None)
+    head = min(grid, key=lambda config: (bounds[config],
+                                         _config_order(config)))
+    best = brute.best.runtime
     contending = {
-        entry.config for entry in brute.entries
-        if run_phases(PLATFORM_4X_VOLTA, entry.config, builder,
-                      infinite_bw=True) <= brute.best.runtime}
-    assert {entry.config for entry in searched.entries} == contending
-    assert searched.pruned_configs == len(brute.entries) - len(contending)
+        config for config in grid
+        if run_phases(PLATFORM_4X_VOLTA, config, builder,
+                      infinite_bw=True) <= best}
+    assert {entry.config for entry in searched.entries} == contending | {head}
+    assert searched.pruned_configs == len(grid) - len(contending | {head})
+    bounded = {config for config in grid if bounds[config] <= best}
+    assert head in bounded
+    assert sorted(floored, key=_config_order) == sorted(
+        bounded - {head}, key=_config_order)
+    assert searched.floor_runs == len(bounded) - 1
+
+
+class _StubSession:
+    """A sweep pool that answers tasks from synthetic tables."""
+
+    def __init__(self, floors, runtimes):
+        self.floors = floors
+        self.runtimes = runtimes
+        self.floored = []
+        self.measured = []
+
+    def map(self, tasks):
+        results = []
+        for task in tasks:
+            config = ProactConfig(*task[:3])
+            if task[3] == "floor":
+                self.floored.append(config)
+                results.append(self.floors[config])
+            else:
+                self.measured.append(config)
+                results.append(ProfileEntry(config, self.runtimes[config]))
+        return results
+
+
+#: Thirteen configs: inline plus two decoupled mechanisms on a 3x2 grid.
+STUB_KWARGS = dict(chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB),
+                   thread_counts=(1024, 4096))
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                      min_size=13, max_size=13))
+def test_search_loop_over_synthetic_lower_bounds(steps):
+    """Drive the search loop over ``bound <= floor <= runtime`` triples
+    (small integers, so ties abound).  Serially it floors exactly the
+    configs an all-bounds-first search floors, {c : bound(c) <= R*},
+    minus the least-bound candidate, and measures {c : floor(c) <= R*}
+    plus that candidate; at 1 and 2 jobs it picks the exhaustive
+    argmin."""
+    grid = Profiler(PLATFORM_4X_VOLTA, **STUB_KWARGS)._full_grid()
+    bounds, floors, runtimes = {}, {}, {}
+    for config, (bound, to_floor, to_runtime) in zip(grid, steps):
+        bounds[config] = float(1 + bound)
+        floors[config] = bounds[config] + to_floor
+        runtimes[config] = floors[config] + to_runtime
+    best = min((ProfileEntry(config, runtimes[config]) for config in grid),
+               key=_entry_order)
+    head = min(grid, key=lambda config: (bounds[config],
+                                         _config_order(config)))
+    bounded = {config for config in grid if bounds[config] <= best.runtime}
+    contending = {config for config in grid
+                  if floors[config] <= best.runtime}
+
+    with mock.patch.object(profiler_module, "_floor_bounds",
+                           lambda *args: bounds):
+        for jobs in (1, 2):
+            session = _StubSession(floors, runtimes)
+            result = Profiler(PLATFORM_4X_VOLTA, search="search", jobs=jobs,
+                              **STUB_KWARGS)._profile_search(
+                session, _SweepTelemetry(None, platform="stub"), None)
+            assert result.best == best
+            assert len(result.entries) + result.pruned_configs == len(grid)
+            assert result.floor_runs == len(session.floored)
+            assert len(set(session.measured)) == len(session.measured)
+            if jobs == 1:
+                assert head in bounded
+                assert len(session.floored) == len(bounded) - 1
+                assert set(session.floored) == bounded - {head}
+                assert set(session.measured) == contending | {head}
+                assert session.measured[0] == head
 
 
 def test_parallel_search_picks_identical_argmin():
@@ -188,15 +288,16 @@ def test_bound_never_exceeds_the_floor(platform, make_workload, toggles):
 
 
 @pytest.mark.parametrize("make_workload, runtime, floor_runs", [
-    (lambda: XrayCtWorkload(num_views=720), 0.010544356904347844, 1),
+    (lambda: XrayCtWorkload(num_views=720), 0.010544356904347844, 0),
     (lambda: JacobiWorkload(num_unknowns=8_000_000),
-     0.017090231060869446, 3),
+     0.017090231060869446, 2),
 ], ids=["xray_ct", "jacobi"])
 def test_serial_search_pin_on_the_autotune_grid(make_workload, runtime,
                                                 floor_runs):
     """The search benchmark's sub-grid on 4x Volta: serial search
     returns the entries an all-floors search returned, bitwise, while
-    running only the floors the analytic bound could not rule out."""
+    running only the floors the analytic bound could not rule out, less
+    the inline config's, which is measured first."""
     result = Profiler(
         PLATFORM_4X_VOLTA, chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB,
                                         16 * MiB),
