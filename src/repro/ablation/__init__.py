@@ -10,13 +10,15 @@ measure what each component contributes to end-to-end performance::
     print(report.rank_of("decoupled_agent"))
 
 See :mod:`repro.ablation.runset` for run-set generation and
-:mod:`repro.ablation.harness` for the measurement discipline.
+:mod:`repro.ablation.harness` for the measurement discipline.  Each
+run's runtime is PROACT as deployed,
+:func:`repro.paradigms.proact.proact_runtime`; the package does not
+import the experiment layer.
 """
 
 from repro.ablation.harness import (
     AblationReport,
     ComponentImportance,
-    framework_runtime,
     run_ablation,
 )
 from repro.ablation.runset import BASELINE, AblationRun, generate_runset
@@ -26,7 +28,6 @@ __all__ = [
     "AblationReport",
     "BASELINE",
     "ComponentImportance",
-    "framework_runtime",
     "generate_runset",
     "run_ablation",
 ]

@@ -5,11 +5,11 @@ baseline (all mechanisms on) and under each single-flip run of the
 run set (:func:`~repro.ablation.runset.generate_runset`), then ranks
 the components by how much the framework slows down without them.
 
-The framework runtime mirrors :class:`~repro.paradigms.ProactAutoParadigm`
-with the repository's tuned Table II configuration standing in for a
-live profiler sweep:
+Each run's runtime is PROACT as deployed,
+:func:`~repro.paradigms.proact.proact_runtime`, under that run's
+mechanisms:
 
-* baseline — best of inline and the platform's tuned decoupled
+* baseline — best of inline and the architecture's tuned decoupled
   configuration, all mechanisms on;
 * ``decoupled_agent`` flipped — inline only (no agent exists);
 * ``profiler_pruning`` flipped — no configuration selection at all: the
@@ -30,37 +30,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ablation.runset import BASELINE, AblationRun, generate_runset
-from repro.core.config import DEFAULT_CONFIG, Mechanisms
 from repro.errors import ConfigurationError
-from repro.hw.platform import PlatformSpec, platform_by_name
-
-
-def framework_runtime(workload, platform: PlatformSpec,
-                      mechanisms: Optional[Mechanisms] = None) -> float:
-    """End-to-end runtime of the PROACT framework under one policy.
-
-    ``mechanisms=None`` (or all-on) reproduces today's unablated
-    framework numbers exactly: the same paradigm objects, the same
-    best-of-inline/decoupled selection.
-    """
-    from repro.experiments.fig7_endtoend import decoupled_config_for
-    from repro.paradigms import ProactDecoupledParadigm, ProactInlineParadigm
-    toggles = mechanisms
-    if toggles is not None and not toggles.profiler_pruning:
-        # No profiler: no selection; the framework default runs.
-        if toggles.decoupled_agent:
-            return ProactDecoupledParadigm(
-                DEFAULT_CONFIG, mechanisms=toggles).execute(
-                workload, platform).runtime
-        return ProactInlineParadigm(mechanisms=toggles).execute(
-            workload, platform).runtime
-    candidates = [ProactInlineParadigm(mechanisms=toggles).execute(
-        workload, platform).runtime]
-    if toggles is None or toggles.decoupled_agent:
-        candidates.append(ProactDecoupledParadigm(
-            decoupled_config_for(platform), mechanisms=toggles).execute(
-            workload, platform).runtime)
-    return min(candidates)
+from repro.hw.platform import platform_by_name
+from repro.obs.report import TextTable, geometric_mean
+from repro.paradigms.proact import proact_runtime
 
 
 @dataclass(frozen=True)
@@ -107,7 +80,6 @@ class AblationReport:
 
     def table(self):
         """Render the ranked importance table."""
-        from repro.experiments.report import TextTable
         table = TextTable(
             title=(f"Mechanism ablation ({self.platform}): "
                    "runtime slowdown when ablated"),
@@ -121,11 +93,6 @@ class AblationReport:
                 f"{entry.geomean:.3f}x",
                 f"{entry.importance:+.1%}")
         return table
-
-
-def _geometric_mean(values: Sequence[float]) -> float:
-    from repro.experiments.report import geometric_mean
-    return geometric_mean(list(values))
 
 
 def run_ablation(platform,
@@ -152,7 +119,7 @@ def run_ablation(platform,
             f"got {len(baseline_runs)}")
     baseline: Dict[str, float] = {}
     for workload in workload_list:
-        baseline[workload.name] = framework_runtime(
+        baseline[workload.name] = proact_runtime(
             workload, platform, baseline_runs[0].mechanisms)
     entries: List[ComponentImportance] = []
     for run in runs:
@@ -160,12 +127,12 @@ def run_ablation(platform,
             continue
         slowdowns: Dict[str, float] = {}
         for workload in workload_list:
-            ablated = framework_runtime(workload, platform, run.mechanisms)
+            ablated = proact_runtime(workload, platform, run.mechanisms)
             slowdowns[workload.name] = ablated / baseline[workload.name]
         entries.append(ComponentImportance(
             component=run.component,
             slowdowns=slowdowns,
-            geomean=_geometric_mean(list(slowdowns.values()))))
+            geomean=geometric_mean(list(slowdowns.values()))))
     entries.sort(key=lambda entry: (-entry.geomean, entry.component))
     return AblationReport(
         platform=platform.name,

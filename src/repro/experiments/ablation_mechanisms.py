@@ -20,10 +20,10 @@ from typing import List
 
 from repro.ablation import run_ablation
 from repro.core.config import Mechanisms
-from repro.experiments.fig7_endtoend import decoupled_config_for
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.hw.platform import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
 from repro.paradigms import ProactDecoupledParadigm
+from repro.paradigms.proact import decoupled_config_for
 from repro.workloads import PageRankWorkload, default_workloads
 
 #: The platforms the importance ranking is reported on: the paper's

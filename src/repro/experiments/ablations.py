@@ -25,10 +25,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.core.config import MECH_POLLING, ProactConfig
 from repro.core.profiler import run_phases
-from repro.experiments.fig7_endtoend import (
-    decoupled_config_for,
-    single_gpu_runtime,
-)
+from repro.experiments.fig7_endtoend import single_gpu_runtime
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable, geometric_mean
 from repro.hw.platform import (
@@ -43,8 +40,8 @@ from repro.paradigms import (
     InfiniteBandwidthParadigm,
     ProactDecoupledParadigm,
     ProactHardwareParadigm,
-    ProactInlineParadigm,
 )
+from repro.paradigms.proact import decoupled_config_for, proact_runtime
 from repro.units import KiB, MiB
 from repro.workloads import PageRankWorkload, Workload, default_workloads
 
@@ -93,10 +90,7 @@ def run_hardware_ablation(
         software, hardware, infinite = [], [], []
         for workload in workload_list:
             reference = single_gpu_runtime(workload, platform)
-            sw_runtime = min(
-                ProactDecoupledParadigm(config).execute(
-                    workload, platform).runtime,
-                ProactInlineParadigm().execute(workload, platform).runtime)
+            sw_runtime = proact_runtime(workload, platform)
             hw_runtime = ProactHardwareParadigm(
                 chunk_size=config.chunk_size).execute(
                 workload, platform).runtime
@@ -152,12 +146,8 @@ def run_dma_engine_ablation(
             .execute(w, platform).runtime
             for w in workload_list]
         result.memcpy[count] = geometric_mean(speedups)
-    config = decoupled_config_for(platform)
-    proact = [
-        references[w.name] / min(
-            ProactDecoupledParadigm(config).execute(w, platform).runtime,
-            ProactInlineParadigm().execute(w, platform).runtime)
-        for w in workload_list]
+    proact = [references[w.name] / proact_runtime(w, platform)
+              for w in workload_list]
     result.proact = geometric_mean(proact)
     return result
 
@@ -263,21 +253,12 @@ def run_topology_ablation(
     result = TopologyAblationResult(
         workloads=[w.name for w in workload_list])
     switch_platform = PLATFORM_16X_VOLTA.with_num_gpus(8)
-    config = decoupled_config_for(PLATFORM_16X_VOLTA)
     for workload in workload_list:
         reference = single_gpu_runtime(workload, switch_platform)
-        switch_runtime = min(
-            ProactDecoupledParadigm(config).execute(
-                workload, switch_platform).runtime,
-            ProactInlineParadigm().execute(
-                workload, switch_platform).runtime)
-        cube_runtime = min(
-            ProactDecoupledParadigm(config).execute(
-                workload, PLATFORM_8X_VOLTA_CUBE).runtime,
-            ProactInlineParadigm().execute(
-                workload, PLATFORM_8X_VOLTA_CUBE).runtime)
-        result.switch[workload.name] = reference / switch_runtime
-        result.cube[workload.name] = reference / cube_runtime
+        result.switch[workload.name] = reference / proact_runtime(
+            workload, switch_platform)
+        result.cube[workload.name] = reference / proact_runtime(
+            workload, PLATFORM_8X_VOLTA_CUBE)
     return result
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.fig7_endtoend import decoupled_config_for
+from repro.experiments.fig7_endtoend import single_gpu_runtime
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable, geometric_mean
 from repro.hw.platform import (
@@ -20,12 +20,8 @@ from repro.hw.platform import (
     PLATFORM_16X_VOLTA,
     PlatformSpec,
 )
-from repro.paradigms import (
-    BulkMemcpyParadigm,
-    InfiniteBandwidthParadigm,
-    ProactDecoupledParadigm,
-    ProactInlineParadigm,
-)
+from repro.paradigms import BulkMemcpyParadigm, InfiniteBandwidthParadigm
+from repro.paradigms.proact import proact_runtime
 from repro.workloads import Workload, default_workloads
 
 #: GPU counts per platform, matching the paper's Figure 10.
@@ -80,11 +76,8 @@ def run(sweeps: Sequence[Tuple[PlatformSpec, Sequence[int]]] = DEFAULT_SWEEPS,
         sweeps=[(platform.name, tuple(counts))
                 for platform, counts in sweeps])
     for platform, counts in sweeps:
-        references = {
-            workload.name: InfiniteBandwidthParadigm().execute(
-                workload, platform.with_num_gpus(1)).runtime
-            for workload in workload_list}
-        config = decoupled_config_for(platform)
+        references = {workload.name: single_gpu_runtime(workload, platform)
+                      for workload in workload_list}
         for count in counts:
             scaled = platform.with_num_gpus(count)
             per_series: Dict[str, List[float]] = {s: [] for s in SERIES}
@@ -92,16 +85,10 @@ def run(sweeps: Sequence[Tuple[PlatformSpec, Sequence[int]]] = DEFAULT_SWEEPS,
                 reference = references[workload.name]
                 bulk = BulkMemcpyParadigm().execute(workload, scaled)
                 per_series["cudaMemcpy"].append(reference / bulk.runtime)
-                if count == 1:
-                    proact_runtime = InfiniteBandwidthParadigm().execute(
-                        workload, scaled).runtime
-                else:
-                    decoupled = ProactDecoupledParadigm(config).execute(
-                        workload, scaled).runtime
-                    inline = ProactInlineParadigm().execute(
-                        workload, scaled).runtime
-                    proact_runtime = min(decoupled, inline)
-                per_series["PROACT"].append(reference / proact_runtime)
+                # One GPU has nothing to transfer: PROACT is the reference.
+                proact = (reference if count == 1
+                          else proact_runtime(workload, scaled))
+                per_series["PROACT"].append(reference / proact)
                 ideal = InfiniteBandwidthParadigm().execute(
                     workload, scaled)
                 per_series["Infinite BW"].append(reference / ideal.runtime)

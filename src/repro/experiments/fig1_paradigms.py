@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-from repro.experiments.fig7_endtoend import decoupled_config_for
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import PLATFORM_4X_VOLTA, PlatformSpec
@@ -25,6 +24,7 @@ from repro.paradigms import (
     ProactDecoupledParadigm,
     ProactInlineParadigm,
 )
+from repro.paradigms.proact import decoupled_config_for
 from repro.units import MiB
 from repro.workloads.micro import MicroBenchmark
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import MECH_CDP, MECH_POLLING, ProactConfig
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable, geometric_mean
 from repro.hw.platform import FOUR_GPU_PLATFORMS, PlatformSpec
@@ -18,26 +17,12 @@ from repro.paradigms import (
     ProactInlineParadigm,
     UnifiedMemoryParadigm,
 )
-from repro.units import KiB, MiB
+from repro.paradigms.proact import decoupled_config_for
 from repro.workloads import Workload, default_workloads
-
-#: Per-platform decoupled configurations (the profiler-preferred family;
-#: Table II shows these exact mechanisms winning on each platform).
-PLATFORM_DECOUPLED_CONFIG = {
-    "4x_kepler": ProactConfig(MECH_CDP, 16 * KiB, 256),
-    "4x_pascal": ProactConfig(MECH_POLLING, 1 * MiB, 4096),
-    "4x_volta": ProactConfig(MECH_POLLING, 128 * KiB, 2048),
-    "16x_volta": ProactConfig(MECH_POLLING, 128 * KiB, 2048),
-}
 
 #: Paradigm display order, matching the figure's bar order.
 PARADIGM_ORDER = ("cudaMemcpy", "UM", "PROACT-inline", "PROACT-decoupled",
                   "Infinite BW")
-
-
-def decoupled_config_for(platform: PlatformSpec) -> ProactConfig:
-    return PLATFORM_DECOUPLED_CONFIG.get(
-        platform.name, ProactConfig(MECH_POLLING, 128 * KiB, 2048))
 
 
 def paradigms_for(platform: PlatformSpec) -> List[Paradigm]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.fig7_endtoend import decoupled_config_for
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import FOUR_GPU_PLATFORMS, PlatformSpec
@@ -21,6 +20,7 @@ from repro.paradigms import (
     InfiniteBandwidthParadigm,
     ProactDecoupledParadigm,
 )
+from repro.paradigms.proact import decoupled_config_for
 from repro.workloads import Workload, default_workloads
 
 

@@ -2,68 +2,11 @@
 
 Every experiment renders its results through :class:`TextTable` so the
 benchmark harness prints the same rows/series the paper's figures plot.
+Both names live in :mod:`repro.obs.report`, beside the run reports, so
+the library's own reports (:mod:`repro.ablation`) render them without
+importing the experiment layer.
 """
 
-from __future__ import annotations
+from repro.obs.report import TextTable, geometric_mean
 
-from dataclasses import dataclass, field
-from typing import Any, List, Sequence
-
-
-@dataclass
-class TextTable:
-    """A simple fixed-width table with a title."""
-
-    title: str
-    columns: Sequence[str]
-    rows: List[Sequence[Any]] = field(default_factory=list)
-
-    def add_row(self, *values: Any) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} cells, table has "
-                f"{len(self.columns)} columns")
-        self.rows.append(values)
-
-    def render(self) -> str:
-        cells = [[_format(value) for value in row] for row in self.rows]
-        widths = [len(name) for name in self.columns]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [self.title]
-        header = "  ".join(name.ljust(widths[i])
-                           for i, name in enumerate(self.columns))
-        lines.append(header)
-        lines.append("-" * len(header))
-        for row in cells:
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)))
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def _format(value: Any) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 100:
-            return f"{value:.0f}"
-        if abs(value) >= 1:
-            return f"{value:.2f}"
-        return f"{value:.3f}"
-    return str(value)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, as the paper uses for cross-app speedups."""
-    if not values:
-        raise ValueError("geometric mean of no values")
-    product = 1.0
-    for value in values:
-        if value <= 0:
-            raise ValueError(f"geometric mean needs positives, got {value}")
-        product *= value
-    return product ** (1.0 / len(values))
+__all__ = ["TextTable", "geometric_mean"]

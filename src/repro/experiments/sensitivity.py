@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.fig7_endtoend import decoupled_config_for
+from repro.experiments.fig7_endtoend import single_gpu_runtime
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable, geometric_mean
 from repro.hw.platform import PLATFORM_4X_VOLTA, PlatformSpec
@@ -33,6 +33,7 @@ from repro.paradigms import (
     ProactDecoupledParadigm,
     ProactInlineParadigm,
 )
+from repro.paradigms.proact import decoupled_config_for
 from repro.workloads import JacobiWorkload, PageRankWorkload, Workload
 
 #: (name, GpuSpec field, factor) — each applied in isolation.
@@ -117,10 +118,8 @@ def run(platform: PlatformSpec = PLATFORM_4X_VOLTA,
     for name, field_name, factor in perturbations:
         perturbed = _perturbed_platform(platform, field_name, factor)
         config = decoupled_config_for(perturbed)
-        references = {
-            w.name: InfiniteBandwidthParadigm().execute(
-                w, perturbed.with_num_gpus(1)).runtime
-            for w in workload_list}
+        references = {w.name: single_gpu_runtime(w, perturbed)
+                      for w in workload_list}
         proact_speedups, memcpy_speedups, infinite_speedups = [], [], []
         decoupled_pagerank = inline_pagerank = 0.0
         for workload in workload_list:

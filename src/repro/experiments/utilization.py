@@ -24,13 +24,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.fig7_endtoend import decoupled_config_for
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import PLATFORM_4X_VOLTA, PlatformSpec
 from repro.interconnect.link import Link
 from repro.paradigms import BulkMemcpyParadigm, ProactDecoupledParadigm
 from repro.paradigms.base import Paradigm
+from repro.paradigms.proact import decoupled_config_for
 from repro.runtime.system import System
 from repro.sim.trace import IntervalStats, Tracer
 from repro.workloads import MicroBenchmark, PageRankWorkload, Workload

@@ -143,12 +143,6 @@ class Link:
         """Seconds the link is occupied moving ``wire_bytes``."""
         return wire_bytes / self.bandwidth
 
-    def account(self, start: float, end: float, goodput: int, wire: int) -> None:
-        """Record a completed service interval."""
-        self.goodput_bytes += goodput
-        self.wire_bytes += wire
-        self.busy.add(start, end)
-
     def utilization(self, over_seconds: float) -> float:
         """Fraction of ``over_seconds`` the link was busy."""
         if over_seconds <= 0:

@@ -6,8 +6,12 @@
   decoupled transfer agent, under an explicit or profiled configuration.
 * :class:`ProactAutoParadigm` — what the full framework does: run the
   compile-time profiler across inline and decoupled variants and execute
-  with the best configuration (the paper's headline "PROACT" numbers
-  take the best of inline/decoupled per application and platform).
+  with the best configuration.
+* :func:`proact_runtime` — PROACT as deployed, the paper's headline
+  "PROACT" number: the better of inline and the architecture's tuned
+  decoupled configuration (:func:`decoupled_config_for`, Table II's
+  winners) per application and platform, standing in for a live
+  profiler sweep.
 
 Every paradigm accepts a ``mechanisms`` policy
 (:class:`repro.core.config.Mechanisms`) that ablates individual PROACT
@@ -20,16 +24,40 @@ from typing import Optional, Sequence
 
 from repro.core.config import (
     DEFAULT_CONFIG,
+    MECH_CDP,
     MECH_HARDWARE,
     MECH_INLINE,
+    MECH_POLLING,
     Mechanisms,
     ProactConfig,
 )
 from repro.core.profiler import Profiler
 from repro.core.runtime import GpuPhaseWork, ProactPhaseExecutor
 from repro.hw.platform import PlatformSpec
+from repro.hw.specs import ARCH_KEPLER, ARCH_PASCAL, ARCH_VOLTA
 from repro.paradigms.base import Paradigm, ParadigmResult
 from repro.runtime.system import System
+from repro.units import KiB, MiB
+
+#: The decoupled configuration the profiler prefers per GPU architecture
+#: (Table II shows these exact mechanisms winning on each platform).
+#: Keyed by architecture, not platform name, so a platform rescaled with
+#: :meth:`~repro.hw.platform.PlatformSpec.with_num_gpus` keeps its own.
+ARCH_DECOUPLED_CONFIG = {
+    ARCH_KEPLER: ProactConfig(MECH_CDP, 16 * KiB, 256),
+    ARCH_PASCAL: ProactConfig(MECH_POLLING, 1 * MiB, 4096),
+    ARCH_VOLTA: ProactConfig(MECH_POLLING, 128 * KiB, 2048),
+}
+
+_INLINE_CONFIG = ProactConfig(MECH_INLINE, DEFAULT_CONFIG.chunk_size,
+                              DEFAULT_CONFIG.transfer_threads)
+
+
+def decoupled_config_for(platform: PlatformSpec) -> ProactConfig:
+    """The tuned decoupled configuration for ``platform``'s GPUs (Volta's
+    for any architecture without one)."""
+    return ARCH_DECOUPLED_CONFIG.get(platform.gpu.arch,
+                                     ARCH_DECOUPLED_CONFIG[ARCH_VOLTA])
 
 
 class _ProactParadigmBase(Paradigm):
@@ -62,11 +90,8 @@ class ProactInlineParadigm(_ProactParadigmBase):
 
     def __init__(self, elide_transfers: bool = False,
                  mechanisms: Optional[Mechanisms] = None) -> None:
-        super().__init__(
-            ProactConfig(MECH_INLINE, DEFAULT_CONFIG.chunk_size,
-                         DEFAULT_CONFIG.transfer_threads),
-            elide_transfers=elide_transfers,
-            mechanisms=mechanisms)
+        super().__init__(_INLINE_CONFIG, elide_transfers=elide_transfers,
+                         mechanisms=mechanisms)
 
 
 class ProactDecoupledParadigm(_ProactParadigmBase):
@@ -103,6 +128,43 @@ class ProactHardwareParadigm(_ProactParadigmBase):
             mechanisms=mechanisms)
 
 
+def _unprofiled_config(toggles: Optional[Mechanisms],
+                       ) -> Optional[ProactConfig]:
+    """The configuration that runs with the profiler ablated (the
+    framework default, inline if the agent is also gone), else ``None``:
+    the configuration is selected."""
+    if toggles is None or toggles.profiler_pruning:
+        return None
+    return DEFAULT_CONFIG if toggles.decoupled_agent else _INLINE_CONFIG
+
+
+def _paradigm_for(config: ProactConfig,
+                  toggles: Optional[Mechanisms]) -> Paradigm:
+    if config.mechanism == MECH_INLINE:
+        return ProactInlineParadigm(mechanisms=toggles)
+    return ProactDecoupledParadigm(config, mechanisms=toggles)
+
+
+def proact_runtime(workload, platform: PlatformSpec,
+                   mechanisms: Optional[Mechanisms] = None) -> float:
+    """End-to-end runtime of PROACT as deployed under one policy.
+
+    The better of inline and :func:`decoupled_config_for`'s configuration
+    (inline only with ``decoupled_agent`` ablated).  With
+    ``profiler_pruning`` ablated nothing is selected and the framework
+    default runs, exactly as in :class:`ProactAutoParadigm`.
+    """
+    fixed = _unprofiled_config(mechanisms)
+    if fixed is not None:
+        return _paradigm_for(fixed, mechanisms).execute(
+            workload, platform).runtime
+    configs = [_INLINE_CONFIG]
+    if mechanisms is None or mechanisms.decoupled_agent:
+        configs.append(decoupled_config_for(platform))
+    return min(_paradigm_for(config, mechanisms).execute(
+        workload, platform).runtime for config in configs)
+
+
 class ProactAutoParadigm(Paradigm):
     """Full PROACT: profile first, then run the best configuration.
 
@@ -123,25 +185,13 @@ class ProactAutoParadigm(Paradigm):
 
     def execute(self, workload, platform: PlatformSpec) -> ParadigmResult:
         toggles = self.mechanisms
-        if toggles is not None and not toggles.profiler_pruning:
-            # Profiler ablated: no configuration selection, run the
-            # framework default (inline if the agent is also gone).
-            if toggles.decoupled_agent:
-                self.chosen_config = DEFAULT_CONFIG
-            else:
-                self.chosen_config = ProactConfig(
-                    MECH_INLINE, DEFAULT_CONFIG.chunk_size,
-                    DEFAULT_CONFIG.transfer_threads)
-        else:
+        self.chosen_config = _unprofiled_config(toggles)
+        if self.chosen_config is None:
             profiler = self._profiler or Profiler(platform, toggles=toggles)
             profile = profiler.profile(workload.phase_builder())
             self.chosen_config = profile.best_config
-        if self.chosen_config.mechanism == MECH_INLINE:
-            delegate: Paradigm = ProactInlineParadigm(mechanisms=toggles)
-        else:
-            delegate = ProactDecoupledParadigm(self.chosen_config,
-                                               mechanisms=toggles)
-        result = delegate.execute(workload, platform)
+        result = _paradigm_for(self.chosen_config, toggles).execute(
+            workload, platform)
         result.paradigm = self.name
         result.details["chosen_config"] = 0.0  # presence marker
         return result

@@ -5,9 +5,11 @@ the *protocol* (orderings between readiness events), the
 :class:`ConservationChecker` checks the *accounting*: every link's
 counters must describe a physically possible history.  A link that
 reports more wire bytes than its bandwidth could carry in its busy time,
-a busy interval outside the simulated clock, or goodput exceeding wire
-bytes all mean the timing model silently corrupted itself — exactly the
-class of bug that would fabricate a speedup.
+busy time its wire bytes do not fill (work conservation: the two agree
+to 1e-9 relative plus one byte), a busy interval outside the simulated
+clock, or goodput exceeding wire bytes all mean the timing model
+silently corrupted itself — exactly the class of bug that would
+fabricate a speedup.
 
 Checks run at every phase barrier (cheap: one pass over the links) and
 once more at the end of a run via :meth:`repro.api.Session.finish`.
@@ -28,6 +30,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _REL_TOL = 1e-6
 #: Absolute slack (seconds / bytes) for single-op rounding.
 _ABS_TOL = 1e-9
+#: Relative slack of work conservation's lower side: a link busy for
+#: ``busy`` seconds carried ``bandwidth * busy`` wire bytes.  The quick
+#: suite's worst gap is below 1e-10.
+_WORK_REL_TOL = 1e-9
 
 
 class ConservationChecker:
@@ -72,6 +78,14 @@ class ConservationChecker:
                 f"{link.bandwidth:.3g} B/s capacity "
                 f"({capacity:.1f} bytes)",
                 invariant="bytes-exceed-capacity", time=now)
+        if capacity - link.wire_bytes > (
+                _WORK_REL_TOL * link.wire_bytes + 1.0):
+            raise ValidationError(
+                f"link {name} was busy {busy:.9g}s but carried only "
+                f"{link.wire_bytes} wire bytes — {capacity:.1f} bytes "
+                f"at its {link.bandwidth:.3g} B/s: busy time is not "
+                "work conserving",
+                invariant="busy-exceeds-wire-time", time=now)
         for start, end in link.busy.intervals:
             if start < -_ABS_TOL or end > now * (1 + _REL_TOL) + _ABS_TOL \
                     or end < start:

@@ -34,11 +34,21 @@ def test_link_service_time():
 
 def test_link_efficiency_accounting():
     engine = Engine()
-    link = make_link(engine)
+    link = make_link(engine, bandwidth=1e9)
     assert link.efficiency() == 0.0
-    link.account(0.0, 1.0, goodput=80, wire=100)
-    assert link.efficiency() == pytest.approx(0.8)
-    assert link.utilization(over_seconds=2.0) == pytest.approx(0.5)
+    assert link.utilization(over_seconds=1.0) == 0.0
+    payload = 64 * 1024
+    receipt = engine.run(until=Route(engine, 0, 1, [link], 0.0).transfer(
+        payload, access_size=16))
+    wire = NVLINK_FORMAT.message_wire_bytes(payload, 16)
+    assert (link.goodput_bytes, link.wire_bytes) == (payload, wire)
+    assert link.efficiency() == pytest.approx(payload / wire)
+    assert link.efficiency() < 1.0
+    # Busy for exactly the wire time, over twice that span: half used.
+    busy = wire / 1e9
+    assert receipt.duration == pytest.approx(busy)
+    assert link.utilization(over_seconds=2 * busy) == pytest.approx(0.5)
+    assert link.utilization(over_seconds=busy / 2) == 1.0
 
 
 # ---------------------------------------------------------------------------

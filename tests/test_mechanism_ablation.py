@@ -11,19 +11,13 @@ import dataclasses
 
 import pytest
 
-from repro.ablation import (
-    BASELINE,
-    AblationRun,
-    framework_runtime,
-    generate_runset,
-    run_ablation,
-)
+from repro.ablation import BASELINE, AblationRun, generate_runset, run_ablation
 from repro.core.config import DEFAULT_CONFIG, Mechanisms
 from repro.core.profiler import Profiler
 from repro.errors import ConfigurationError, ProactError
-from repro.experiments.fig7_endtoend import decoupled_config_for
 from repro.hw.platform import PLATFORM_4X_VOLTA
 from repro.paradigms import ProactDecoupledParadigm, ProactInlineParadigm
+from repro.paradigms.proact import decoupled_config_for, proact_runtime
 from repro.workloads import PageRankWorkload, XrayCtWorkload
 
 PLATFORM = PLATFORM_4X_VOLTA
@@ -122,13 +116,13 @@ def test_every_single_flip_changes_runtime():
     """Each switch is load-bearing: flipping it moves the simulated
     time of at least one workload."""
     workloads = [XrayCtWorkload(), PageRankWorkload()]
-    baselines = {w.name: framework_runtime(w, PLATFORM, Mechanisms())
+    baselines = {w.name: proact_runtime(w, PLATFORM, Mechanisms())
                  for w in workloads}
     for run in generate_runset():
         if run.is_baseline:
             continue
         changed = any(
-            framework_runtime(w, PLATFORM, run.mechanisms)
+            proact_runtime(w, PLATFORM, run.mechanisms)
             != baselines[w.name]
             for w in workloads)
         assert changed, (

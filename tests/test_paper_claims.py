@@ -16,9 +16,11 @@ silently.  To see the tables a claim reads, run the experiment::
 """
 
 import copy
+import pathlib
 
 import pytest
 
+from repro.experiments.registry import REGISTRY
 from repro.experiments.report import geometric_mean
 from repro.units import KiB, MiB
 from tests.test_golden import _cells, _number, load_golden
@@ -549,3 +551,24 @@ def test_claim_fails_past_its_bound(claim, mutate, match, golden):
     mutate(snapshot)
     with pytest.raises(AssertionError, match=match):
         claim(snapshot)
+
+
+# ---------------------------------------------------------------------------
+# EXPERIMENTS.md keeps a paper-vs-measured section per reproduced artifact
+# ---------------------------------------------------------------------------
+
+EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parent.parent / (
+    "EXPERIMENTS.md")
+
+
+def test_experiments_md_has_a_section_per_paper_artifact():
+    labels = [spec.label for spec in REGISTRY
+              if spec.label.startswith(("Figure ", "Table "))]
+    assert {"Figure 2", "Figure 4", "Figure 6", "Figure 7", "Figure 8",
+            "Figure 9", "Figure 10", "Table I", "Table II"} <= set(labels)
+    headings = [line for line in EXPERIMENTS_MD.read_text().splitlines()
+                if line.startswith("## ")]
+    missing = [label for label in labels
+               if not any(heading.startswith(f"## {label} —")
+                          for heading in headings)]
+    assert not missing, f"EXPERIMENTS.md has no section for {missing}"

@@ -2,15 +2,29 @@
 
 import pytest
 
-from repro.core import MECH_CDP, MECH_INLINE, ProactConfig
-from repro.hw import PLATFORM_4X_KEPLER, PLATFORM_4X_VOLTA
+from repro.core import (
+    DEFAULT_CONFIG,
+    MECH_CDP,
+    MECH_INLINE,
+    Mechanisms,
+    ProactConfig,
+)
+from repro.hw import (
+    PLATFORM_4X_KEPLER,
+    PLATFORM_4X_PASCAL,
+    PLATFORM_4X_VOLTA,
+    PLATFORM_8X_AMPERE,
+    PLATFORM_16X_VOLTA,
+)
 from repro.paradigms import (
     BulkMemcpyParadigm,
     InfiniteBandwidthParadigm,
+    ProactAutoParadigm,
     ProactDecoupledParadigm,
     ProactInlineParadigm,
     UnifiedMemoryParadigm,
 )
+from repro.paradigms.proact import decoupled_config_for, proact_runtime
 from repro.units import KiB, MiB
 from tests.conftest import small_jacobi, small_pagerank
 
@@ -145,6 +159,47 @@ def test_proact_auto_profiles_then_runs():
     # config it had available in its search space.
     default = ProactDecoupledParadigm().execute(workload, PLATFORM_4X_VOLTA)
     assert result.runtime <= default.runtime * 1.05
+
+
+@pytest.mark.parametrize("platform, label", [
+    (PLATFORM_4X_KEPLER, "D 16kB 256 CDP"),
+    (PLATFORM_4X_PASCAL, "D 1MB 4096 Poll"),
+    (PLATFORM_16X_VOLTA, "D 128kB 2048 Poll"),
+    (PLATFORM_8X_AMPERE, "D 128kB 2048 Poll"),
+])
+def test_tuned_decoupled_config_follows_the_gpu_architecture(platform,
+                                                             label):
+    # Rescaling renames a platform ("2x_kepler"); its GPUs' tuned
+    # configuration stays the same.
+    for count in range(1, platform.num_gpus + 1):
+        assert decoupled_config_for(
+            platform.with_num_gpus(count)).label() == label
+
+
+def test_proact_runtime_is_the_better_of_inline_and_tuned_decoupled():
+    workload = small_pagerank()
+    platform = PLATFORM_4X_KEPLER.with_num_gpus(2)
+    inline = ProactInlineParadigm().execute(workload, platform).runtime
+    decoupled = ProactDecoupledParadigm(
+        decoupled_config_for(platform)).execute(workload, platform).runtime
+    assert proact_runtime(workload, platform) == min(inline, decoupled)
+    agentless = Mechanisms.ablate("decoupled_agent")
+    assert proact_runtime(workload, platform, agentless) == (
+        ProactInlineParadigm(mechanisms=agentless).execute(
+            workload, platform).runtime)
+
+
+@pytest.mark.parametrize("ablated", [
+    ("profiler_pruning",), ("profiler_pruning", "decoupled_agent")])
+def test_proact_runtime_without_profiler_runs_what_auto_runs(ablated):
+    workload = small_pagerank()
+    toggles = Mechanisms.ablate(*ablated)
+    auto = ProactAutoParadigm(mechanisms=toggles)
+    runtime = auto.execute(workload, PLATFORM_4X_VOLTA).runtime
+    assert auto.chosen_config.mechanism == (
+        MECH_INLINE if "decoupled_agent" in ablated
+        else DEFAULT_CONFIG.mechanism)
+    assert proact_runtime(workload, PLATFORM_4X_VOLTA, toggles) == runtime
 
 
 def test_mean_link_utilization_reported():

@@ -167,6 +167,32 @@ def test_bytes_beyond_link_capacity_are_caught():
                                    "fabric-total-mismatch")
 
 
+def test_busy_time_without_bytes_is_caught():
+    system = volta_system()
+    run_small_collective(system)
+    link = max(system.fabric.links, key=lambda link: link.wire_bytes)
+    assert link.busy.busy_time() > 0
+    link.goodput_bytes = link.wire_bytes = 0
+    with pytest.raises(ValidationError) as err:
+        ConservationChecker(system).check(system.now)
+    assert err.value.invariant == "busy-exceeds-wire-time"
+
+
+def test_idle_gap_recorded_as_busy_is_caught():
+    system = volta_system()
+    run_small_collective(system)
+    link = max(system.fabric.links, key=lambda link: link.wire_bytes)
+    last_end = max(end for _start, end in link.busy.intervals)
+    # The link idled from its last quantum to the end of the run; half
+    # of that idle time booked as busy breaks work conservation.
+    idle = system.now - last_end
+    assert idle * link.bandwidth > 1e3
+    link.busy.add(last_end, last_end + idle / 2)
+    with pytest.raises(ValidationError) as err:
+        ConservationChecker(system).check(system.now)
+    assert err.value.invariant == "busy-exceeds-wire-time"
+
+
 def test_negative_counters_are_caught():
     system = volta_system()
     run_small_collective(system)
