@@ -202,28 +202,6 @@ class Session:
         with self.scope():
             return profiler.profile(builder)
 
-    def plan_collective(self, collective: str, nbytes: int, *,
-                        algorithms: Optional[Sequence[str]] = None,
-                        chunk_sizes: Optional[Sequence[int]] = None,
-                        jobs: int = 1):
-        """Tune (algorithm x chunk size) for one collective payload.
-
-        The collective twin of :meth:`profile`: sweeps the grid on this
-        session's platform and returns the winning
-        :class:`~repro.collectives.tuner.CollectiveChoice` (pass the
-        chosen ``algorithm``/``chunk_size`` to :meth:`collective` to run
-        it).  ``jobs`` fans the sweep over a warm worker pool.
-        """
-        from repro.collectives.tuner import CollectiveTuner
-        from repro.core.config import PROFILE_CHUNK_SIZES
-        tuner = CollectiveTuner(
-            self.platform, collective, algorithms=algorithms,
-            chunk_sizes=(PROFILE_CHUNK_SIZES if chunk_sizes is None
-                         else chunk_sizes),
-            jobs=jobs)
-        with self.scope():
-            return tuner.tune(nbytes).best_choice
-
     def collective(self, collective: str, nbytes: int, *,
                    algorithm: str = "ring",
                    chunk_size: Optional[int] = None,

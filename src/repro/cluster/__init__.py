@@ -31,7 +31,6 @@ from repro.cluster.specs import (
     NicSpec,
     NodeSpec,
     cluster_platform,
-    cluster_platform_by_name,
 )
 from repro.cluster.topology import (
     FatTreeTopology,
@@ -60,7 +59,6 @@ __all__ = [
     "build_hierarchical",
     "build_inter_topology",
     "cluster_platform",
-    "cluster_platform_by_name",
     "hierarchical_sent_bytes",
     "torus_dims",
 ]

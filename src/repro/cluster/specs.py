@@ -11,9 +11,9 @@ charged with the same link/route primitives as NVLink hops.
 
 :class:`ClusterPlatformSpec` extends
 :class:`~repro.hw.platform.PlatformSpec`, so everything that consumes a
-platform — ``System``, ``Session``, the collective tuner —
-accepts a cluster without new entry points; consumers that must branch
-check the ``is_cluster`` attribute rather than importing this module.
+platform — ``System``, ``Session`` — accepts a cluster without new
+entry points; consumers that must branch check the ``is_cluster``
+attribute rather than importing this module.
 """
 
 from __future__ import annotations
@@ -211,13 +211,3 @@ CLUSTER_PLATFORMS: Dict[str, ClusterPlatformSpec] = {
         cluster_platform(4, inter=TORUS_3D),
     )
 }
-
-
-def cluster_platform_by_name(name: str) -> ClusterPlatformSpec:
-    """Look up a canonical cluster platform, with a helpful error."""
-    try:
-        return CLUSTER_PLATFORMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown cluster platform {name!r}; "
-            f"available: {sorted(CLUSTER_PLATFORMS)}") from None

@@ -4,9 +4,8 @@ Collectives (broadcast, all-gather, reduce-scatter, all-reduce) are
 compiled into dependency-tagged transfer schedules
 (:mod:`~repro.collectives.schedule`), built by three algorithm families
 (:mod:`~repro.collectives.algorithms`: ``direct``/``ring``/``tree``),
-executed over the real links by completion callbacks
-(:mod:`~repro.collectives.executor`), and autotuned per platform and
-payload PROACT-profiler-style (:mod:`~repro.collectives.tuner`).
+and executed over the real links by completion callbacks
+(:mod:`~repro.collectives.executor`).
 
 Typical use, via the system entry point::
 
@@ -24,7 +23,6 @@ from repro.collectives.algorithms import (
     ALGO_TREE,
     ALL_ALGORITHMS,
     build_schedule,
-    schedules_for,
     supported_algorithms,
 )
 from repro.collectives.executor import (
@@ -42,13 +40,6 @@ from repro.collectives.schedule import (
     replay_payloads,
     verify_schedule,
 )
-from repro.collectives.tuner import (
-    CollectiveChoice,
-    CollectiveMeasurement,
-    CollectiveTuneResult,
-    CollectiveTuner,
-    measure_candidate,
-)
 
 __all__ = [
     "ALGO_DIRECT",
@@ -61,18 +52,12 @@ __all__ = [
     "COLL_ALL_REDUCE",
     "COLL_BROADCAST",
     "COLL_REDUCE_SCATTER",
-    "CollectiveChoice",
     "CollectiveExecutor",
-    "CollectiveMeasurement",
     "CollectiveResult",
     "CollectiveSchedule",
-    "CollectiveTuneResult",
-    "CollectiveTuner",
     "TransferOp",
     "build_schedule",
-    "measure_candidate",
     "replay_payloads",
-    "schedules_for",
     "supported_algorithms",
     "verify_schedule",
 ]

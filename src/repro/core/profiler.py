@@ -412,11 +412,11 @@ class SweepPool:
     once per candidate.  Tasks are streamed in batches — enough batches
     per worker that uneven candidate costs still balance, few enough
     that queue overhead stays negligible.  Both the function and every
-    task must then be picklable (platform specs, configs, collective
-    tuning candidates, and the workloads' bound ``build_phases`` methods
-    all are).  Under an ambient validation every task is validated in
-    its worker and the counters fold into the parent's scope.  Use as a
-    context manager so the workers are torn down deterministically.
+    task must then be picklable (platform specs, configs, and the
+    workloads' bound ``build_phases`` methods all are).  Under an
+    ambient validation every task is validated in its worker and the
+    counters fold into the parent's scope.  Use as a context manager so
+    the workers are torn down deterministically.
     """
 
     #: Batches submitted per worker: load-balance vs. queue overhead.

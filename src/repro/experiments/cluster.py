@@ -42,9 +42,8 @@ FULL_NODE_COUNTS: Tuple[int, ...] = (4, 16, 64)
 QUICK_PAYLOADS: Tuple[int, ...] = (256 * KiB, 1 * MiB)
 FULL_PAYLOADS: Tuple[int, ...] = (1 * MiB, 16 * MiB)
 
-#: Fixed chunk granularity: a full tuner sweep at 1024 GPUs would
-#: multiply the grid by the chunk axis; the tuner path is exercised by
-#: the cluster test suite instead.
+#: Fixed chunk granularity: a chunk sweep at 1024 GPUs would multiply
+#: the grid by the chunk axis.
 CHUNK_SIZE: int = 1 * MiB
 
 #: Inter-node topologies compared at the smallest cluster.

@@ -1,8 +1,8 @@
 """Collectives: nccl-tests-style bus-bandwidth tables per platform.
 
 For every Table I system this harness sweeps the all-reduce payload
-range, tunes each algorithm's chunk size with the
-:class:`~repro.collectives.tuner.CollectiveTuner`, and prints one
+range, runs every (algorithm x chunk size) candidate on the simulated
+fabric, scores each algorithm at its fastest chunk, and prints one
 bus-bandwidth table per platform in the format ``nccl-tests`` made
 canonical: one row per payload size, one column per algorithm, bandwidth
 normalized so a bandwidth-optimal algorithm scores the same number at
@@ -28,10 +28,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.api import Session
 from repro.collectives.algorithms import supported_algorithms
 from repro.collectives.schedule import COLL_ALL_REDUCE
-from repro.collectives.tuner import CollectiveTuner
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import PLATFORMS, PlatformSpec
+from repro.obs.capture import suppress as suppress_observation
 from repro.units import KiB, MiB
 from repro.workloads.dataparallel import DataParallelTraining, run_training
 
@@ -45,7 +45,7 @@ FULL_PAYLOADS: Tuple[int, ...] = (
     16 * KiB, 256 * KiB, 1 * MiB, 16 * MiB, 64 * MiB)
 QUICK_PAYLOADS: Tuple[int, ...] = (16 * KiB, 1 * MiB, 16 * MiB)
 
-#: Chunk-size grids the tuner explores per algorithm.
+#: Chunk-size grids swept per algorithm.
 FULL_CHUNKS: Tuple[int, ...] = (
     16 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 1 * MiB, 4 * MiB)
 QUICK_CHUNKS: Tuple[int, ...] = (64 * KiB, 256 * KiB, 1 * MiB)
@@ -102,25 +102,35 @@ class CollectivesResult:
 def run(platform_names: Sequence[str] = PLATFORM_NAMES,
         payloads: Sequence[int] = FULL_PAYLOADS,
         chunk_sizes: Sequence[int] = FULL_CHUNKS) -> CollectivesResult:
-    """Tune and measure the all-reduce sweep."""
+    """Sweep (algorithm x chunk size) per platform and payload.
+
+    Each algorithm scores its fastest chunk; the winner is the least
+    ``(runtime, chunk size, algorithm)``, so ties never depend on the
+    sweep order.  Candidate runs stay out of the ambient trace but
+    not out of ambient validation.
+    """
     busbw: Dict[Tuple[str, int, str], float] = {}
     winners: Dict[Tuple[str, int], str] = {}
     algorithms: Dict[str, Sequence[str]] = {}
     for name in platform_names:
         platform = PLATFORMS[name]
+        session = Session(platform)
         algorithms[name] = supported_algorithms(
             COLL_ALL_REDUCE, platform.num_gpus)
-        tuner = CollectiveTuner(platform, COLL_ALL_REDUCE,
-                                chunk_sizes=chunk_sizes)
         for payload in payloads:
-            sweep = tuner.tune(payload)
-            for algorithm in algorithms[name]:
-                best = sweep.best_for_algorithm(algorithm)
+            with suppress_observation():
+                best = {algorithm: min(
+                    (session.collective(
+                        COLL_ALL_REDUCE, payload, algorithm=algorithm,
+                        chunk_size=chunk).duration, chunk, algorithm)
+                    for chunk in sorted(chunk_sizes))
+                    for algorithm in algorithms[name]}
+            for algorithm, (runtime, _, _) in best.items():
                 busbw[(name, payload, algorithm)] = _allreduce_busbw(
-                    platform.num_gpus, payload, best.runtime)
-            pick = sweep.best
+                    platform.num_gpus, payload, runtime)
+            _, chunk, algorithm = min(best.values())
             winners[(name, payload)] = \
-                f"{pick.algorithm}@{_payload_label(pick.chunk_size)}"
+                f"{algorithm}@{_payload_label(chunk)}"
     return CollectivesResult(
         payloads=list(payloads), platforms=list(platform_names),
         busbw=busbw, winners=winners, algorithms=algorithms)

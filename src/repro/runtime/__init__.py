@@ -7,7 +7,6 @@ from repro.runtime.unified_memory import (
     UM_FAULT_BATCH,
     UM_FAULT_PAGE_SIZE,
     UM_LEGACY_BANDWIDTH_FACTOR,
-    UM_PAGE_SIZE,
     UnifiedMemoryModel,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "CTAS_PER_SM",
     "CTA_RETIREMENT_SPREAD",
     "UnifiedMemoryModel",
-    "UM_PAGE_SIZE",
     "UM_FAULT_PAGE_SIZE",
     "UM_FAULT_BATCH",
     "UM_LEGACY_BANDWIDTH_FACTOR",

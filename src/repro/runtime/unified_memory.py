@@ -12,8 +12,8 @@ migrates pages on demand.  Its costs, as modelled here:
   fraction of the working set in bulk before the kernel, avoiding faults
   for those pages (but not overlapping the prefetch with compute).
 * **Legacy UM** (Kepler): no GPU page-fault hardware; the driver mirrors
-  dirty data through host memory around every kernel launch at roughly
-  half the link bandwidth, regardless of hints.
+  dirty data through host memory around every kernel launch at 40% of
+  the link bandwidth, regardless of hints.
 """
 
 from __future__ import annotations
@@ -29,17 +29,15 @@ from repro.units import KiB
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.device import Device
 
-#: UM migration granularity for prefetches (the driver moves 64 KiB blocks).
-UM_PAGE_SIZE = 64 * KiB
-
-#: Demand faults land at GPU page granularity — far smaller than the
-#: migration block — which is what makes fault-driven access so expensive.
+#: Demand faults land at GPU page granularity — far smaller than a bulk
+#: prefetch — which is what makes fault-driven access so expensive.
 UM_FAULT_PAGE_SIZE = 4 * KiB
 
 #: Page faults the driver services concurrently (batching factor).
 UM_FAULT_BATCH = 8
 
-#: Legacy (pre-Pascal) UM stages through host memory at half link speed.
+#: Legacy (pre-Pascal) UM stages through host memory at 40% of link
+#: speed: the mirror moves 2.5x the bytes.
 UM_LEGACY_BANDWIDTH_FACTOR = 0.4
 
 
@@ -134,9 +132,10 @@ class UnifiedMemoryModel:
                       nbytes: int) -> Event:
         """Kepler-era UM: stage through the host at reduced bandwidth.
 
-        Host staging halves effective bandwidth: the wire-time
-        equivalent of ``nbytes / UM_LEGACY_BANDWIDTH_FACTOR`` crosses
-        the same route, after two DMA set-ups (one per hop).
+        Host staging cuts effective bandwidth to 40% of the link's: the
+        wire-time equivalent of ``nbytes / UM_LEGACY_BANDWIDTH_FACTOR``
+        (2.5x the bytes) crosses the same route, after two DMA set-ups
+        (one per hop).
         """
         if nbytes < 0:
             raise RuntimeApiError(f"negative mirror size: {nbytes}")

@@ -5,8 +5,8 @@ replica and a shard of the batch; each step runs forward+backward to
 produce a local gradient, then the GPUs all-reduce the gradients so every
 replica applies the same averaged update.  The gradient payload equals
 the model size, which is what makes the collective the scaling
-bottleneck — and what the tuner's (algorithm x chunk size) choice
-directly buys back.
+bottleneck — and what the (algorithm x chunk size) pick of the
+Collectives experiment directly buys back.
 
 Two coupled layers, like every workload here (:mod:`repro.workloads.base`):
 

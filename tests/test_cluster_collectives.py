@@ -1,4 +1,4 @@
-"""Hierarchical all-reduce: schedule, execution, tuning, and the oracle.
+"""Hierarchical all-reduce: schedule, execution, and the oracle.
 
 The hierarchical algorithm (reduce-scatter intra-node, ring all-reduce
 across node leaders over the NICs, all-gather intra-node) must satisfy
@@ -23,7 +23,6 @@ from repro.cluster import (
 )
 from repro.collectives import (
     ALGO_HIERARCHICAL,
-    CollectiveTuner,
     build_schedule,
     supported_algorithms,
     verify_schedule,
@@ -142,17 +141,17 @@ def test_session_runs_a_cluster_collective():
     assert result.duration > 0
 
 
-# ----------------------------------------------------------------------
-# Tuner integration
-# ----------------------------------------------------------------------
-
-def test_tuner_sweeps_hierarchical_on_cluster_platforms():
-    tuner = CollectiveTuner(quad_cluster(2), "all_reduce",
-                            chunk_sizes=(64 * KiB,))
-    assert ALGO_HIERARCHICAL in tuner.algorithms
-    result = tuner.tune(256 * KiB)
-    assert ALGO_HIERARCHICAL in result.algorithms()
-    assert result.best_for_algorithm(ALGO_HIERARCHICAL).runtime > 0
+def test_cluster_geometry_admits_and_runs_hierarchical():
+    # A cluster platform's own node geometry admits the hierarchical
+    # algorithm, and the candidate runs through the session.
+    platform = quad_cluster(2)
+    assert ALGO_HIERARCHICAL in supported_algorithms(
+        "all_reduce", platform.num_gpus,
+        gpus_per_node=platform.gpus_per_node)
+    result = Session(platform).collective(
+        "all_reduce", 256 * KiB, algorithm=ALGO_HIERARCHICAL,
+        chunk_size=64 * KiB)
+    assert result.duration > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.api import Session
+from repro.collectives import supported_algorithms
 from repro.core import MECH_CDP, MECH_POLLING
 from repro.experiments import (
+    collectives,
     fig2_goodput,
     fig4_profile,
     fig6_micro,
@@ -295,3 +298,29 @@ def test_utilization_runs_audit_conservation_under_validation(monkeypatch):
             BulkMemcpyParadigm(), MicroBenchmark(data_bytes=8 * MiB),
             PLATFORM_4X_VOLTA, buckets=4)
     assert audits == [runtime]
+
+
+# ---------------------------------------------------------------------------
+# Collectives
+# ---------------------------------------------------------------------------
+
+def test_collectives_pick_is_the_least_direct_run():
+    # Each algorithm scores its fastest chunk, and the winner is the
+    # least (runtime, chunk, algorithm) over direct session runs.
+    payload, chunks = 256 * KiB, (256 * KiB, 64 * KiB)
+    result = collectives.run(("4x_volta",), (payload,), chunks)
+    session = Session(PLATFORM_4X_VOLTA)
+    runs = [(session.collective("all_reduce", payload, algorithm=algorithm,
+                                chunk_size=chunk).duration, chunk, algorithm)
+            for algorithm in supported_algorithms("all_reduce", 4)
+            for chunk in chunks]
+    assert result.algorithms["4x_volta"] == supported_algorithms(
+        "all_reduce", 4)
+    for algorithm in result.algorithms["4x_volta"]:
+        fastest = min(run for run in runs if run[2] == algorithm)[0]
+        # nccl-tests busbw on 4 GPUs: algbw x 2(N-1)/N = 1.5.
+        assert result.busbw[("4x_volta", payload, algorithm)] == (
+            payload / fastest * 1.5)
+    _, chunk, algorithm = min(runs)
+    assert result.winners[("4x_volta", payload)] == (
+        f"{algorithm}@{chunk // KiB}kB")

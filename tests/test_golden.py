@@ -30,8 +30,9 @@ from repro.experiments.runner import run_all
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_quick.json"
 
-#: Experiments cheap enough for every tier-1 run (about 4 s together).
-CHEAP = ("table1", "fig1", "fig2", "utilization", "cluster")
+#: Experiments cheap enough for every tier-1 run (about 4 s together on
+#: one x86_64 core; ``collectives`` is about 3 s of it).
+CHEAP = ("table1", "fig1", "fig2", "utilization", "cluster", "collectives")
 
 _CELL_GAP = re.compile(r"\s{2,}")
 #: A numeric table cell: a number, optionally with an ``x`` or ``%`` unit.

@@ -312,23 +312,19 @@ def test_empty_validation_summary_reports_every_counter():
         "violations": 0}
 
 
-def _validated_sweep(entry, jobs):
+def _validated_sweep(jobs):
     session = Session("4x_volta", validate=True)
-    if entry == "profile":
-        session.profile(JacobiWorkload(num_unknowns=200_000),
-                        strategy="exhaustive",
-                        chunk_sizes=(64 * KiB, 1 * MiB),
-                        thread_counts=(2048,), jobs=jobs)
-    else:
-        session.plan_collective("all_reduce", 1 << 20,
-                                chunk_sizes=(256 * KiB, 1 * MiB), jobs=jobs)
+    session.profile(JacobiWorkload(num_unknowns=200_000),
+                    strategy="exhaustive",
+                    chunk_sizes=(64 * KiB, 1 * MiB),
+                    thread_counts=(2048,), jobs=jobs)
     return session.validation_summary()
 
 
-@pytest.mark.parametrize("entry", ["profile", "plan_collective"])
+@pytest.mark.parametrize("entry", ["profile"])
 def test_pool_sweep_validates_like_a_serial_sweep(entry):
     # Pool workers never see the parent's scope; their counters must
     # still reach it, so serial and pooled sweeps report the same summary.
-    serial = _validated_sweep(entry, jobs=1)
+    serial = _validated_sweep(jobs=1)
     assert serial["systems_validated"] > 0
-    assert _validated_sweep(entry, jobs=2) == serial
+    assert _validated_sweep(jobs=2) == serial
