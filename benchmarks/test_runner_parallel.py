@@ -41,7 +41,7 @@ MIN_SWEEP_CONFIGS = 100
 
 BENCH_JOBS = 4
 REQUIRED_SPEEDUP = 3.0
-#: Sweep telemetry (capture(sweeps=True)) may cost at most 5% wall clock.
+#: Sweep telemetry (capture()) may cost at most 5% wall clock.
 MAX_TELEMETRY_OVERHEAD = 1.05
 
 
@@ -120,7 +120,7 @@ def test_warm_worker_sweep_speedup(benchmark, results_dir):
 
 
 def test_sweep_telemetry_coverage_and_overhead(results_dir):
-    """Acceptance gate for ``capture(sweeps=True)`` on the full grid.
+    """Acceptance gate for ``capture()`` on the full grid.
 
     The 113-config parallel sweep under sweep telemetry must produce a
     Perfetto document with one activity lane per worker and a decision
@@ -144,7 +144,7 @@ def test_sweep_telemetry_coverage_and_overhead(results_dir):
     assert grid >= MIN_SWEEP_CONFIGS  # the 113-config grid
 
     started = time.perf_counter()
-    with capture(sweeps=True) as observation:
+    with capture() as observation:
         traced = sweep()
     on_s = time.perf_counter() - started
 

@@ -73,11 +73,10 @@ class Session:
             :class:`~repro.errors.ValidationError`.
         trace: Record structural traces and metrics for every run
             (exported with :meth:`chrome_trace` and :attr:`metrics`).
-        sweeps: Also capture profiler sweep telemetry — per-worker
-            activity lanes, the search/prune :class:`DecisionLog`
-            (:attr:`decisions`), and sweep latency histograms.  Implies
-            observation; candidate simulations inside sweeps stay
-            unobserved either way, so results are unchanged.
+            Profiler sweeps also record per-worker activity lanes,
+            the search/prune :class:`DecisionLog` (:attr:`decisions`),
+            and sweep latency histograms; candidate simulations inside
+            sweeps stay unobserved, so results are unchanged.
         mechanisms: Mechanism-ablation policy
             (:class:`~repro.core.config.Mechanisms`).  Every system,
             paradigm, and profiler built through this session honors
@@ -92,7 +91,6 @@ class Session:
                  num_gpus: Optional[int] = None,
                  validate: bool = False,
                  trace: bool = False,
-                 sweeps: bool = False,
                  mechanisms: Optional["Mechanisms"] = None) -> None:
         if platform is None:
             platform = self.DEFAULT_PLATFORM
@@ -109,8 +107,8 @@ class Session:
         # point below re-installs them as the ambient scopes, so results
         # accumulate across calls.
         self._observation: Optional[Observation] = None
-        if trace or sweeps:
-            self._observation = Observation(sweeps=sweeps)
+        if trace:
+            self._observation = Observation()
         self._validation: Optional[Validation] = None
         if validate:
             self._validation = Validation()
@@ -205,8 +203,7 @@ class Session:
     def collective(self, collective: str, nbytes: int, *,
                    algorithm: str = "ring",
                    chunk_size: Optional[int] = None,
-                   root: int = 0,
-                   access_size: Optional[int] = None):
+                   root: int = 0):
         """Run one collective to completion; returns its result.
 
         Builds a fresh system under the session's policy, launches the
@@ -219,8 +216,7 @@ class Session:
             system = self._build_system()
             proc = system.collective(collective, nbytes,
                                      algorithm=algorithm,
-                                     chunk_size=chunk_size, root=root,
-                                     access_size=access_size)
+                                     chunk_size=chunk_size, root=root)
             result = system.run(until=proc)
             system._finish()
             return result
@@ -252,7 +248,7 @@ class Session:
     def decisions(self):
         """The sweep :class:`~repro.obs.decisions.DecisionLog`.
 
-        Populated by :meth:`profile` calls on a ``Session(sweeps=True)``;
+        Populated by :meth:`profile` calls on a ``Session(trace=True)``;
         ``None`` when the session observes nothing.
         """
         if self._observation is None:
@@ -268,7 +264,7 @@ class Session:
         if self._observation is None:
             raise ConfigurationError(
                 "session was created without trace; "
-                "pass trace=True (or sweeps=True) to Session()")
+                "pass trace=True to Session()")
         from repro.obs.report import observation_report, write_report
         write_report(path, observation_report(self._observation,
                                               title=title))
@@ -315,8 +311,6 @@ class Session:
             flags.append("validate")
         if self._observation is not None:
             flags.append("trace")
-            if self._observation.sweeps:
-                flags.append("sweeps")
         if self.mechanisms is not None and not self.mechanisms.all_enabled:
             flags.append(self.mechanisms.describe())
         suffix = f" [{', '.join(flags)}]" if flags else ""

@@ -28,7 +28,7 @@ import typing
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.collectives.schedule import (
     COLL_ALL_GATHER,
@@ -94,11 +94,9 @@ class CollectiveResult:
 class CollectiveExecutor:
     """Runs compiled schedules on one system's engine and fabric."""
 
-    def __init__(self, system: "System",
-                 access_size: Optional[int] = None) -> None:
+    def __init__(self, system: "System") -> None:
         self.system = system
-        self.access_size = access_size if access_size is not None \
-            else system.fabric.collective_access_size
+        self.access_size = system.fabric.collective_access_size
 
     def launch(self, schedule: CollectiveSchedule) -> Process:
         """Start a schedule; the returned process yields the result."""

@@ -88,22 +88,24 @@ reproducible across search modes, job counts, and entry orderings.
 Sweep telemetry
 ---------------
 
-Candidate simulations always run unobserved (``suppress`` around every
-``session.map``) — that is what keeps sweep results byte-identical
-across job counts and captures.  Under ``capture(sweeps=True)`` the sweep
+Candidate simulations always run unobserved (every wave is mapped under
+``suppress``) — that is what keeps sweep results byte-identical across
+job counts and captures.  Under an active observation (``capture()``,
+``Session(trace=True)``, runner ``--trace``/``--report``) the sweep
 itself becomes observable instead: every task function is wrapped in a
 :class:`_TelemetryFn` that stamps wall-clock start/end, worker pid, and
-batch id in the worker, and the parent-side :class:`_TelemetrySession`
-unwraps those records, lays them out as one ``sweep.worker{N}`` lane per
-worker on the observation's ambient tracer (task spans nested in batch
-spans), and folds queue-wait/batch/task histograms into the shared
-registry via a phase-safe :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
-Every search decision — floor waves run, candidates measured or pruned
-(each prune with the bound or floor that decided it), incumbent updates,
-measurement waves — lands in the
-observation's typed :class:`~repro.obs.decisions.DecisionLog` (mirrored
-on the ``decision`` trace channel), with the invariant that each grid
-candidate ends in exactly one ``measure`` or ``prune`` event.
+batch id in the worker, and :meth:`_SweepTelemetry.map` unwraps those
+records, lays them out as one ``sweep.worker{N}`` lane per worker on the
+observation's ambient tracer (task spans nested in batch spans), and
+folds queue-wait/batch/task histograms into the shared registry via a
+phase-safe :meth:`~repro.obs.metrics.MetricsRegistry.merge`.  Every
+search decision — floor waves run, candidates measured (with config,
+runtime and platform) or pruned (with the bound or floor that decided
+it), incumbent updates, measurement waves — lands in the observation's
+typed :class:`~repro.obs.decisions.DecisionLog` (mirrored on the
+``decision`` trace channel), with the invariant that each grid candidate
+ends in exactly one ``measure`` or ``prune`` event.  Unobserved sweeps
+map the bare task function and record nothing.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.config import (
@@ -529,28 +530,47 @@ class _TelemetryFn:
                            started, time.time(), task)
 
 
-class _TelemetrySession:
-    """Wraps a :class:`SweepPool` whose fn is a :class:`_TelemetryFn`.
+class _SweepTelemetry:
+    """Parent-side recorder of one sweep: worker lanes and decision log.
 
-    Unwraps each wave's :class:`_TaskRecord` envelopes in task order (so
-    callers see exactly the results they would without telemetry) and
-    merges the timing envelopes into the owning observation: one
-    ``sweep.worker{N}`` tracer lane per worker process (task spans nested
-    inside batch spans), plus queue-wait/batch/task histograms folded in
-    through a local registry and the phase-safe
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
+    :meth:`map` runs each wave unobserved and, when the sweep is
+    observed, unwraps the :class:`_TelemetryFn` envelopes in task order
+    (so callers see exactly the results they would unobserved) and
+    merges them into the observation: one ``sweep.worker{N}`` tracer
+    lane per worker process (task spans nested inside batch spans), plus
+    queue-wait/batch/task histograms folded in through a local registry
+    and the phase-safe :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
+
+    It also owns the decision bookkeeping (every grid candidate must end
+    in exactly one ``measure`` or ``prune`` event) and the incumbent
+    tracking (same :func:`_entry_order` tie-breaks as
+    :attr:`ProfileResult.best`, so the decision log's final incumbent is
+    the sweep's actual winner).  Without an observation every method is
+    a cheap early return and the pool maps the bare task function, so
+    unobserved sweeps pay nothing.
     """
 
-    def __init__(self, inner: SweepPool,
-                 telemetry: "_SweepTelemetry") -> None:
-        self.inner = inner
-        self.telemetry = telemetry
+    def __init__(self, observation: Optional[Observation],
+                 platform: str) -> None:
+        self.observation = observation
+        self.platform = platform
+        self._best: Optional[ProfileEntry] = None
         self._worker_lanes: Dict[int, str] = {}
 
-    def map(self, tasks: Sequence[Any]) -> List[Any]:
+    def map(self, pool: SweepPool, tasks: Sequence[SweepTask]) -> List[Any]:
+        """Run one wave of tasks through ``pool``, results in task order.
+
+        Candidate measurements build hundreds of throwaway systems; the
+        ambient observation is suppressed around them so they do not
+        flood the trace (and so serial and pooled sweeps — where workers
+        never see the parent's scope — observe identically).
+        """
         submitted = time.time()
-        records = self.inner.map(tasks)
-        return self._merge(records, submitted)
+        with suppress_observation():
+            results = pool.map(tasks)
+        if self.observation is None:
+            return results
+        return self._merge(results, submitted)
 
     def _lane(self, pid: int) -> str:
         lane = self._worker_lanes.get(pid)
@@ -561,7 +581,7 @@ class _TelemetrySession:
 
     def _merge(self, records: Sequence[_TaskRecord],
                submitted: float) -> List[Any]:
-        observation = self.telemetry.observation
+        observation = self.observation
         epoch = observation.epoch
         tracer = observation.ambient_tracer
         local = MetricsRegistry()
@@ -598,29 +618,6 @@ class _TelemetrySession:
         observation.metrics.merge(local)
         return results
 
-
-#: What a sweep maps its waves through: the pool, or its telemetry wrapper.
-_Session = Union[SweepPool, _TelemetrySession]
-
-
-class _SweepTelemetry:
-    """Parent-side writer of one sweep's decision log.
-
-    Owns the decision bookkeeping (every grid candidate must end in
-    exactly one ``measure`` or ``prune`` event) and the incumbent
-    tracking (same :func:`_entry_order` tie-breaks as
-    :attr:`ProfileResult.best`, so the decision log's final incumbent is
-    the sweep's actual winner).  Without ``capture(sweeps=True)`` every
-    method is a cheap early return and the pool is never wrapped, so
-    sweeps pay nothing.
-    """
-
-    def __init__(self, observation: Optional[Observation],
-                 platform: str) -> None:
-        self.observation = observation
-        self.platform = platform
-        self._best: Optional[ProfileEntry] = None
-
     def _log(self, kind: str, config: Optional[str] = None,
              **payload: Any) -> None:
         if self.observation is not None:
@@ -644,7 +641,7 @@ class _SweepTelemetry:
             return
         for entry in entries:
             self._log("measure", config=entry.config.label(),
-                      runtime=entry.runtime)
+                      runtime=entry.runtime, platform=self.platform)
             if self._best is None or _entry_order(entry) < _entry_order(
                     self._best):
                 self._best = entry
@@ -709,13 +706,6 @@ class Profiler:
         #: Candidates measured at once (:class:`SweepPool` workers).
         self.jobs = jobs
 
-    def _sweep_telemetry(self) -> _SweepTelemetry:
-        """Per-sweep telemetry controller (inert unless opted in)."""
-        observation = active_observation()
-        if observation is not None and not observation.sweeps:
-            observation = None
-        return _SweepTelemetry(observation, platform=self.platform.name)
-
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
         """Run the sweep for one application.
 
@@ -728,30 +718,24 @@ class Profiler:
         sweep's winner is, and so are its serial entries.
 
         One :class:`SweepPool` serves the whole sweep, so the platform
-        and builder ship to its workers once.  Under
-        ``capture(sweeps=True)`` the task function is wrapped in
-        :class:`_TelemetryFn` (workers stamp timing envelopes) and the
-        pool in :class:`_TelemetrySession` (the parent unwraps and
-        merges them); otherwise both layers are absent entirely.
+        and builder ship to its workers once.  Under an active
+        observation the task function is wrapped in :class:`_TelemetryFn`
+        (workers stamp timing envelopes that :meth:`_SweepTelemetry.map`
+        unwraps and merges); otherwise the pool maps the bare task
+        function.
         """
-        telemetry = self._sweep_telemetry()
-        observed = telemetry.observation is not None
+        telemetry = _SweepTelemetry(active_observation(), self.platform.name)
         fn = functools.partial(_sweep_task, self.platform, phase_builder,
                                toggles=self.toggles)
-        with SweepPool(_TelemetryFn(fn) if observed else fn,
-                       self.jobs) as pool:
-            session: _Session = (_TelemetrySession(pool, telemetry)
-                                 if observed else pool)
+        if telemetry.observation is not None:
+            fn = _TelemetryFn(fn)
+        with SweepPool(fn, self.jobs) as pool:
             if self.search_mode == "search":
-                result = self._profile_search(session, telemetry,
-                                              phase_builder)
-            elif self.search_mode == "coordinate":
-                result = self._profile_coordinate(session, telemetry)
-            else:
-                result = ProfileResult(entries=self._measure(
-                    self._full_grid(), session, telemetry))
-        self._observe_entries(result.entries)
-        return result
+                return self._profile_search(pool, telemetry, phase_builder)
+            if self.search_mode == "coordinate":
+                return self._profile_coordinate(pool, telemetry)
+            return ProfileResult(entries=self._measure(
+                self._full_grid(), pool, telemetry))
 
     def _full_grid(self, thread_counts: Optional[Sequence[int]] = None,
                    ) -> List[ProactConfig]:
@@ -775,21 +759,15 @@ class Profiler:
         return grid
 
     def _measure(self, configs: Sequence[ProactConfig],
-                 session: _Session, telemetry: _SweepTelemetry,
+                 pool: SweepPool, telemetry: _SweepTelemetry,
                  ) -> List[ProfileEntry]:
         """Fully measure one wave of configs, in order."""
-        # Candidate measurements build hundreds of throwaway systems;
-        # suppress the ambient observation so they do not flood the
-        # trace (and so serial and pooled sweeps — where workers
-        # never see the parent's scope — observe identically).  The
-        # per-candidate timings themselves are published afterwards.
-        with suppress_observation():
-            entries = session.map([_measure_task(config)
-                                   for config in configs])
+        entries = telemetry.map(pool, [_measure_task(config)
+                                       for config in configs])
         telemetry.measured_entries(entries)
         return entries
 
-    def _profile_coordinate(self, session: _Session,
+    def _profile_coordinate(self, pool: SweepPool,
                             telemetry: _SweepTelemetry) -> ProfileResult:
         """Chunks at the top thread count, then threads at the best chunk.
 
@@ -799,7 +777,7 @@ class Profiler:
         grouped: Dict[str, List[ProfileEntry]] = {
             mechanism: [] for mechanism in self.mechanisms}
         chunk_wave = self._full_grid(self.thread_counts[-1:])
-        for entry in self._measure(chunk_wave, session, telemetry):
+        for entry in self._measure(chunk_wave, pool, telemetry):
             grouped[entry.config.mechanism].append(entry)
         best_chunk = {
             mechanism: min(entries, key=_entry_order).config.chunk_size
@@ -808,12 +786,12 @@ class Profiler:
         thread_wave = [ProactConfig(mechanism, chunk_size, threads)
                        for mechanism, chunk_size in best_chunk.items()
                        for threads in self.thread_counts[:-1]]
-        for entry in self._measure(thread_wave, session, telemetry):
+        for entry in self._measure(thread_wave, pool, telemetry):
             grouped[entry.config.mechanism].append(entry)
         return ProfileResult(entries=[entry for entries in grouped.values()
                                       for entry in entries])
 
-    def _profile_search(self, session: _Session, telemetry: _SweepTelemetry,
+    def _profile_search(self, pool: SweepPool, telemetry: _SweepTelemetry,
                         phase_builder: PhaseBuilder) -> ProfileResult:
         """Best-first branch-and-bound over the two-level bound.
 
@@ -850,9 +828,7 @@ class Profiler:
             measuring = sum(task[3] == "measure" for task in tasks)
             if measuring:
                 telemetry.certify_wave(measuring)
-            # Candidate runs stay unobserved (see :meth:`_measure`).
-            with suppress_observation():
-                results = session.map(tasks)
+            results = telemetry.map(pool, tasks)
             floors: Dict[ProactConfig, float] = {}
             measured: List[ProfileEntry] = []
             for (_value, order, _kind, config), task, result in zip(
@@ -874,22 +850,3 @@ class Profiler:
             entries=entries,
             pruned_configs=len(candidates) - len(entries),
             floor_runs=floor_runs)
-
-    def _observe_entries(self, entries: Sequence[ProfileEntry]) -> None:
-        """Publish per-candidate sweep timings to the ambient scope."""
-        observation = active_observation()
-        if observation is None:
-            return
-        for order, entry in enumerate(entries):
-            config = entry.config
-            observation.ambient_tracer.record(
-                float(order), "profiler", config.label(),
-                payload={"runtime_s": entry.runtime,
-                         "platform": self.platform.name})
-            observation.metrics.observe(
-                "profile_candidate_runtime_ms", entry.runtime * 1e3,
-                platform=self.platform.name,
-                mechanism=config.mechanism)
-            observation.metrics.inc(
-                "profile_candidates", platform=self.platform.name,
-                mechanism=config.mechanism)

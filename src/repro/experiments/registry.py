@@ -53,11 +53,12 @@ class ExperimentContext:
     grids so the full suite completes in minutes; the shapes are the
     same, just with coarser sweeps.  ``observe`` wraps each experiment
     in an :func:`repro.obs.capture` scope so every system it builds is
-    traced and metered; the captured Chrome-trace document and metrics
-    snapshot travel back on the :class:`ExperimentResult` (picklable, so
-    this works across the runner's worker processes).  Observation never
-    changes an experiment's tables — tracing only records, it does not
-    schedule.  ``validate`` wraps each experiment in a
+    traced and metered; the captured Chrome-trace document, metrics
+    snapshot and any profiler sweep's decision log travel back on the
+    :class:`ExperimentResult` (picklable, so this works across the
+    runner's worker processes).  Observation never changes an
+    experiment's tables — tracing only records, it does not schedule.
+    ``validate`` wraps each experiment in a
     :func:`repro.validate.validation` scope: every system it builds runs
     under the readiness sanitizer and conservation checker, and any
     tripped invariant surfaces as that experiment's failure (the suite
@@ -70,18 +71,11 @@ class ExperimentContext:
     coordinate sweep, so existing tables are byte-identical unless
     explicitly overridden (``--profile-strategy`` / ``--profile-jobs``
     on the runner CLI).
-
-    ``sweeps`` additionally captures profiler sweep telemetry (worker
-    lanes, the search/prune decision log, sweep histograms — see
-    :mod:`repro.obs.capture`); it implies ``observe`` when the runner
-    builds the context, and the decision-log export travels back on
-    :attr:`ExperimentResult.decisions`.
     """
 
     quick: bool = True
     observe: bool = False
     validate: bool = False
-    sweeps: bool = False
     profile: ProfilePolicy = DEFAULT_PROFILE_POLICY
 
     @property
@@ -104,7 +98,7 @@ class ExperimentResult:
     trace: Optional[Dict] = None
     #: Metrics snapshot captured when the context asked to observe.
     metrics: Optional[Dict] = None
-    #: Decision-log export captured when the context asked for sweeps.
+    #: Decision-log export of the sweeps an observed experiment ran.
     decisions: Optional[List[Dict]] = None
     #: Sanitizer summary captured when the context asked to validate.
     validation: Optional[Dict] = None
@@ -244,16 +238,14 @@ def run_experiment(name: str, ctx: ExperimentContext) -> ExperimentResult:
     # policy; its ambient scopes wrap the harness exactly as the old
     # nested capture()/validation() blocks did.
     from repro.api import Session
-    session = Session(trace=ctx.observe, sweeps=ctx.sweeps,
-                      validate=ctx.validate)
+    session = Session(trace=ctx.observe, validate=ctx.validate)
     try:
         with session.scope():
             result = spec.run(ctx)
-        if ctx.observe or ctx.sweeps:
+        if ctx.observe:
             result.trace = session.chrome_trace()
             result.metrics = session.metrics.snapshot()
-        if ctx.sweeps and session.decisions is not None:
-            result.decisions = session.decisions.export()
+            result.decisions = session.decisions.export() or None
         if ctx.validate:
             result.validation = session.validation_summary()
     except Exception as exc:  # noqa: BLE001 - suite must outlive one failure

@@ -16,7 +16,7 @@ Command line::
     python -m repro.experiments.runner [--full | --quick] [--jobs N]
                                        [--only NAME ...] [--json PATH]
                                        [--trace PATH] [--metrics PATH]
-                                       [--report PATH] [--sweep-telemetry]
+                                       [--report PATH]
                                        [--validate] [--list]
                                        [--profile-strategy MODE]
                                        [--profile-jobs N]
@@ -25,14 +25,13 @@ Command line::
 experiments and writes one merged Chrome-trace JSON (open it at
 https://ui.perfetto.dev); ``--metrics`` writes the aggregated metrics
 registry snapshots.  Either flag turns observation on; captured metrics
-are also merged into the ``--json`` results schema.
-
-``--sweep-telemetry`` additionally captures profiler sweep telemetry —
-per-worker activity lanes in the trace, the search/prune decision log,
-and sweep latency histograms (see ``docs/OBSERVABILITY.md``).
-``--report`` distills everything captured into one run report
-(markdown, or JSON when the path ends in ``.json``); it implies
-observation, and pairs naturally with ``--sweep-telemetry``.
+are also merged into the ``--json`` results schema.  An observed
+profiler sweep also records its telemetry — per-worker activity lanes in
+the trace, the search/prune decision log (in ``--json`` under each
+experiment's ``decisions``), and sweep latency histograms (see
+``docs/OBSERVABILITY.md``).  ``--report`` distills everything captured
+into one run report (markdown, or JSON when the path ends in ``.json``);
+it implies observation.
 
 ``--validate`` runs every experiment under the simulation sanitizers
 (:mod:`repro.validate`): readiness ordering and byte conservation are
@@ -55,12 +54,14 @@ import time
 from typing import List, Optional, Sequence, TextIO
 
 from repro.core.profiler import SEARCH_MODES
+from repro.errors import ProactError
 from repro.experiments.registry import (
     DEFAULT_PROFILE_POLICY,
     ExperimentContext,
     ExperimentResult,
     ProfilePolicy,
     experiment_names,
+    get_spec,
     run_experiment,
     select_specs,
 )
@@ -111,17 +112,27 @@ def _run_parallel(names: Sequence[str], ctx: ExperimentContext,
 
     Results are printed in registry order as soon as each experiment
     *and all its predecessors* have finished, so the text output matches
-    the serial runner's ordering exactly.
+    the serial runner's ordering exactly.  A worker process that dies
+    (OOM kill, segfault, ``os._exit``) breaks every unfinished future;
+    each of those experiments is recorded as failed, and the results
+    that finished are kept.
     """
     import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
     workers = min(jobs, len(names))
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers) as pool:
         futures = [pool.submit(run_experiment, name, ctx)
                    for name in names]
         results = []
-        for future in futures:
-            result = future.result()
+        for name, future in zip(names, futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                error = ProactError(
+                    f"worker process died before {name} finished: {exc}")
+                result = ExperimentResult.failed(
+                    name, get_spec(name).label, error)
             _emit(stream, result)
             results.append(result)
     return results
@@ -190,7 +201,6 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
             trace_path: Optional[str] = None,
             metrics_path: Optional[str] = None,
             report_path: Optional[str] = None,
-            sweep_telemetry: bool = False,
             validate: bool = False,
             profile: ProfilePolicy = DEFAULT_PROFILE_POLICY
             ) -> List[ExperimentResult]:
@@ -205,11 +215,10 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
     ``trace_path``/``metrics_path`` turn on observation and write the
     merged Chrome trace / metrics snapshots; the printed tables are
     byte-identical with observation on or off.  ``report_path`` (also
-    observation-implying) writes the distilled run report;
-    ``sweep_telemetry=True`` captures the profiler's worker lanes and
-    decision log alongside.  ``validate=True`` runs
-    every experiment under the readiness/conservation sanitizers; a
-    tripped invariant records as that experiment's failure.
+    observation-implying) writes the distilled run report, including
+    the profiler sweeps' decision logs.  ``validate=True`` runs every
+    experiment under the readiness/conservation sanitizers; a tripped
+    invariant records as that experiment's failure.
     ``profile`` is the :class:`~repro.experiments.registry.ProfilePolicy`
     selecting the profiler search mode and warm-worker parallelism for
     the sweep-driven experiments.
@@ -217,11 +226,9 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
     stream = out or sys.stdout
     names = [spec.name for spec in select_specs(only)]
     observe = (trace_path is not None or metrics_path is not None
-               or report_path is not None or sweep_telemetry)
+               or report_path is not None)
     ctx = ExperimentContext(quick=quick, observe=observe,
-                            validate=validate,
-                            profile=profile,
-                            sweeps=sweep_telemetry)
+                            validate=validate, profile=profile)
 
     started = time.perf_counter()
     if jobs > 1 and len(names) > 1:
@@ -276,10 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write a distilled run report to PATH (markdown, or JSON "
              "when PATH ends in .json); implies observation")
     parser.add_argument(
-        "--sweep-telemetry", action="store_true",
-        help="capture profiler sweep telemetry: per-worker trace lanes, "
-             "the search/prune decision log, and sweep histograms")
-    parser.add_argument(
         "--validate", action="store_true",
         help="run every experiment under the readiness/conservation "
              "sanitizers; a tripped invariant fails the suite")
@@ -310,7 +313,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     results = run_all(quick=args.quick, jobs=args.jobs, only=args.only,
                       json_path=args.json, trace_path=args.trace,
                       metrics_path=args.metrics, report_path=args.report,
-                      sweep_telemetry=args.sweep_telemetry,
                       validate=args.validate,
                       profile=ProfilePolicy(strategy=args.profile_strategy,
                                             jobs=args.profile_jobs))

@@ -9,8 +9,8 @@ The pieces, designed to cost nothing when disabled:
   aggregated per phase and per run and mergeable across processes.
 * :mod:`~repro.obs.capture` — the ambient observation scope that hands
   every :class:`~repro.runtime.system.System` built inside it a tracer
-  and the shared registry; ``capture(sweeps=True)`` additionally opts
-  into profiler sweep telemetry (worker lanes + decision log).
+  and the shared registry; a profiler sweep inside it records its
+  worker lanes and decision log.
 * :class:`~repro.obs.decisions.DecisionLog` — the profiler's typed
   search/prune decision stream, queryable from the observation and
   mirrored on the ``decision`` trace channel.
@@ -29,7 +29,7 @@ Typical use, via the experiment runner::
 or programmatically::
 
     from repro import obs
-    with obs.capture(sweeps=True) as observation:
+    with obs.capture() as observation:
         autotune.run()
     obs.write_chrome_trace("trace.json", observation.chrome_trace())
     obs.write_report("report.md", obs.observation_report(observation))

@@ -16,18 +16,14 @@ sweeps (hundreds of throwaway systems) do not flood the trace, keeping
 observed runs identical at any sweep job count (pool workers never see
 the parent's scope).
 
-Sweep telemetry is a separate, explicit opt-in: ``capture(sweeps=True)``
-(or ``Session(sweeps=True)``).  The *simulated* candidate runs stay
-suppressed either way — that contract is what keeps sweep results
-byte-identical and cheap — but with ``sweeps`` enabled the profiler
-additionally streams its own telemetry into the observation: per-worker
+The *simulated* candidate runs of a sweep stay suppressed — that
+contract is what keeps sweep results byte-identical and cheap — but the
+profiler streams the sweep itself into the observation: per-worker
 activity lanes (``sweep.worker{N}`` channels on the ambient tracer), a
 typed :class:`~repro.obs.decisions.DecisionLog` mirrored on the
-``decision`` channel, and batch/queue-wait/candidate-runtime histograms
-in the shared registry.  With ``sweeps`` off (the default), a capture
-around ``Profiler.profile`` sees exactly what it always saw: the
-post-hoc per-candidate summary on the ``profiler`` channel and nothing
-else.
+``decision`` channel (one ``measure`` or ``prune`` event per candidate),
+and batch/queue-wait/task histograms in the shared registry.  Without an
+active observation the sweep records nothing.
 """
 
 from __future__ import annotations
@@ -46,14 +42,13 @@ from repro.sim.trace import Tracer
 class Observation:
     """A capture in progress: labelled per-system tracers + metrics.
 
-    ``sweeps=True`` opts into profiler sweep telemetry (worker lanes,
-    decision log, sweep histograms); see the module docstring for the
-    exact contract.  ``epoch`` anchors every wall-clock lane (worker
-    spans, decision instants) so the exported document starts near 0.
+    Profiler sweeps inside it record worker lanes, a decision log and
+    sweep histograms; see the module docstring for the exact contract.
+    ``epoch`` anchors every wall-clock lane (worker spans, decision
+    instants) so the exported document starts near 0.
     """
 
-    def __init__(self, sweeps: bool = False) -> None:
-        self.sweeps = sweeps
+    def __init__(self) -> None:
         self.epoch = time.time()
         self.metrics = MetricsRegistry()
         # Off-clock lanes (e.g. the profiler's per-candidate sweep
@@ -97,7 +92,7 @@ def active() -> Optional[Observation]:
 
 
 @contextmanager
-def capture(sweeps: bool = False) -> Iterator[Observation]:
+def capture() -> Iterator[Observation]:
     """Observe every system built inside the scope.
 
     ::
@@ -106,14 +101,14 @@ def capture(sweeps: bool = False) -> Iterator[Observation]:
             fig9_overlap.run()
         write_chrome_trace("trace.json", obs.chrome_trace())
 
-    ``sweeps=True`` additionally captures profiler sweep telemetry
-    (worker lanes, decision log, sweep histograms)::
+    A profiler sweep inside the scope records its decision log, worker
+    lanes and sweep histograms::
 
-        with capture(sweeps=True) as obs:
+        with capture() as obs:
             Profiler(platform, search="exhaustive").profile(builder)
         assert obs.decisions.count("measure")
     """
-    with observing(Observation(sweeps=sweeps)) as observation:
+    with observing(Observation()) as observation:
         yield observation
 
 

@@ -130,8 +130,7 @@ class System:
     def collective(self, collective: str, nbytes: int,
                    algorithm: str = "ring",
                    chunk_size: Optional[int] = None,
-                   root: int = 0,
-                   access_size: Optional[int] = None):
+                   root: int = 0):
         """Launch a collective over the fabric; returns its process.
 
         The schedule is compiled by
@@ -156,7 +155,7 @@ class System:
             collective, algorithm, self.num_gpus, nbytes, chunk_size,
             root=root,
             gpus_per_node=getattr(self.spec, "gpus_per_node", None))
-        executor = CollectiveExecutor(self, access_size=access_size)
+        executor = CollectiveExecutor(self)
         return executor.launch(schedule)
 
     def _finish(self) -> None:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -260,11 +261,10 @@ def test_context_carries_profile_strategy_defaults():
     assert ctx.profile == ProfilePolicy()
     assert ctx.profile.strategy == "coordinate"
     assert ctx.profile.jobs == 1
-    assert ctx.sweeps is False
 
 
 # ---------------------------------------------------------------------------
-# --report and --sweep-telemetry
+# --report and the sweep decision log
 # ---------------------------------------------------------------------------
 
 def test_run_all_writes_markdown_report(tmp_path):
@@ -292,7 +292,7 @@ def test_run_all_writes_json_report(tmp_path):
 
 
 def test_sweep_telemetry_context_carries_decisions(monkeypatch):
-    """A sweeping experiment run under ctx.sweeps ships its decision
+    """A sweeping experiment run under ctx.observe ships its decision
     log back on the (picklable) result and into the run report."""
     def experiment(ctx):
         from repro.core import Profiler
@@ -312,8 +312,7 @@ def test_sweep_telemetry_context_carries_decisions(monkeypatch):
 
     _register_fake(monkeypatch, "sweepy", experiment)
     result = run_experiment("sweepy",
-                            ExperimentContext(quick=True, observe=True,
-                                              sweeps=True))
+                            ExperimentContext(quick=True, observe=True))
     assert result.error is None
     assert result.decisions, "decision log must travel on the result"
     kinds = {event["kind"] for event in result.decisions}
@@ -334,13 +333,14 @@ def test_sweep_telemetry_context_carries_decisions(monkeypatch):
 
 
 def test_sweeps_off_leaves_decisions_unset():
+    """An observed experiment that runs no sweep exports no decisions."""
     result = run_experiment("table1", ExperimentContext(quick=True,
                                                         observe=True))
     assert result.decisions is None
     assert "decisions" not in result.to_dict()
 
 
-def test_cli_report_and_sweep_telemetry_flags_reach_run_all(monkeypatch):
+def test_cli_report_flag_reaches_run_all(monkeypatch):
     seen = {}
 
     def fake_run_all(**kwargs):
@@ -348,10 +348,8 @@ def test_cli_report_and_sweep_telemetry_flags_reach_run_all(monkeypatch):
         return [ExperimentResult(name="a", label="A", tables=["t"], rows=1)]
 
     monkeypatch.setattr(runner, "run_all", fake_run_all)
-    assert runner.main(["--only", "table1", "--report", "out.md",
-                        "--sweep-telemetry"]) == 0
+    assert runner.main(["--only", "table1", "--report", "out.md"]) == 0
     assert seen["report_path"] == "out.md"
-    assert seen["sweep_telemetry"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +401,48 @@ def test_run_all_reports_failed_experiment(monkeypatch):
     assert "[Figure 2 FAILED after" in buffer.getvalue()
     assert runner.suite_failures(results) == [
         "fig2: RuntimeError: exploded"]
+
+
+def test_parallel_run_survives_a_dying_worker(monkeypatch, tmp_path):
+    """A worker process that dies fails its experiment by name; the
+    finished results are kept, in registry order, and --json is
+    written."""
+    import os
+
+    from repro.experiments import registry
+
+    finished = tmp_path / "steady.done"
+
+    def steady(ctx):
+        table = TextTable("Steady", ["rows"])
+        table.add_row(1)
+        finished.touch()
+        return ExperimentResult.build("steady", "Steady", [table], {})
+
+    def dying(ctx):
+        # Die only once the other worker's experiment has returned.
+        deadline = time.monotonic() + 60
+        while not finished.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        os._exit(3)
+
+    _register_fake(monkeypatch, "steady", steady)
+    _register_fake(monkeypatch, "dying", dying)
+    monkeypatch.setattr(registry, "REGISTRY", registry.REGISTRY + (
+        registry.get_spec("steady"), registry.get_spec("dying")))
+    json_path = tmp_path / "results.json"
+    results = runner.run_all(quick=True, jobs=2, only=["steady", "dying"],
+                             out=io.StringIO(), json_path=str(json_path))
+    assert [result.name for result in results] == ["steady", "dying"]
+    failures = runner.suite_failures(results)
+    assert len(failures) == 1
+    assert failures[0].startswith(
+        "dying: ProactError: worker process died before dying finished")
+    payload = json.loads(json_path.read_text())
+    assert payload["suite_failures"] == failures
+    assert [entry["name"] for entry in payload["experiments"]] == [
+        "steady", "dying"]
 
 
 def test_cli_exit_status_reflects_failures(monkeypatch, capsys):

@@ -1,13 +1,15 @@
-"""Tests for profiler sweep telemetry (``capture(sweeps=True)``).
+"""Tests for profiler sweep telemetry under an active observation.
 
 The contract under test (see ``docs/OBSERVABILITY.md``):
 
-* a plain ``capture()`` around a sweep sees exactly the old behavior —
-  candidate systems stay suppressed, no worker lanes, no decision log;
-* ``capture(sweeps=True)`` adds per-worker activity lanes, a typed
-  decision log whose measure+prune counts equal the grid size, and
-  sweep latency histograms — while the sweep's *results* stay
-  byte-identical to an untelemetered run.
+* candidate systems stay suppressed: a ``capture()`` around a sweep
+  builds no per-candidate tracer;
+* the sweep records per-worker activity lanes, a typed decision log
+  with one ``measure`` or ``prune`` event per grid candidate (each
+  measure carrying its config, runtime and platform), and sweep latency
+  histograms — while the sweep's *results* stay byte-identical to an
+  unobserved run;
+* without an observation the sweep records nothing.
 """
 
 import pytest
@@ -43,28 +45,31 @@ def _worker_lanes(observation):
 # Satellite 1: the suppression contract
 # ---------------------------------------------------------------------------
 
-def test_plain_capture_records_no_sweep_telemetry():
-    """Without sweeps=True a capture sees exactly the old profiler
-    output: the post-hoc ``profiler`` channel, no worker lanes, no
-    decision events, no sweep histograms, no extra system tracers."""
+def _measured(observation):
+    """``(config, runtime, platform)`` of every ``measure`` event."""
+    return [(event.config, event.payload["runtime"],
+             event.payload["platform"])
+            for event in observation.decisions.select("measure")]
+
+
+def test_plain_capture_logs_each_candidate_once():
+    """A plain capture records the sweep once: one ``measure`` or
+    ``prune`` decision per grid candidate, the measures matching the
+    result's entries, and no other per-candidate record."""
     with capture() as observation:
-        _profiler(search="exhaustive").profile(_builder())
-    assert not observation.sweeps
-    assert len(observation.decisions) == 0
-    assert observation.ambient_tracer.count("decision") == 0
-    assert _worker_lanes(observation) == []
-    snapshot = observation.metrics.snapshot()
-    assert not any(name.startswith("sweep_")
-                   for name in snapshot["histograms"])
-    # Candidate systems stayed suppressed: only the ambient lane exists.
-    assert [label for label, _ in observation.traces] == ["capture"]
-    # The old post-hoc summary is still published.
-    assert observation.ambient_tracer.count("profiler") == GRID
+        result = _profiler(search="search").profile(_builder())
+    decisions = observation.decisions
+    assert decisions.count("measure") + decisions.count("prune") == GRID
+    assert _measured(observation) == [
+        (entry.config.label(), entry.runtime, PLATFORM_4X_VOLTA.name)
+        for entry in result.entries]
+    assert set(observation.ambient_tracer.channels()) == {
+        "decision", *_worker_lanes(observation)}
 
 
 def test_sweep_capture_keeps_candidates_suppressed():
-    """sweeps=True observes the sweep, never the simulated candidates."""
-    with capture(sweeps=True) as observation:
+    """A capture observes the sweep, never the simulated candidates."""
+    with capture() as observation:
         _profiler(search="exhaustive").profile(_builder())
     assert [label for label, _ in observation.traces] == ["capture"]
 
@@ -75,7 +80,7 @@ def test_sweep_capture_keeps_candidates_suppressed():
 
 def test_serial_sweep_telemetry_decisions_and_identical_results():
     baseline = _profiler(search="search").profile(_builder())
-    with capture(sweeps=True) as observation:
+    with capture() as observation:
         traced = _profiler(search="search").profile(_builder())
 
     assert traced.entries == baseline.entries  # byte-identical results
@@ -113,7 +118,7 @@ def test_serial_sweep_telemetry_decisions_and_identical_results():
 
 def test_search_mode_telemetry_covers_the_grid():
     baseline = _profiler(search="search").profile(_builder())
-    with capture(sweeps=True) as observation:
+    with capture() as observation:
         traced = _profiler(search="search").profile(_builder())
     assert traced.entries == baseline.entries
     decisions = observation.decisions
@@ -122,7 +127,7 @@ def test_search_mode_telemetry_covers_the_grid():
 
 
 def test_coordinate_mode_telemetry_counts_planned_grid():
-    with capture(sweeps=True) as observation:
+    with capture() as observation:
         traced = _profiler().profile(_builder())
     decisions = observation.decisions
     # Coordinate search measures its reduced plan; nothing is pruned.
@@ -133,16 +138,16 @@ def test_coordinate_mode_telemetry_counts_planned_grid():
     assert decisions.count("prune") == 0
 
 
-def test_coordinate_sweep_publishes_one_ordered_profiler_record_each():
-    """Both coordinate waves land on the ``profiler`` channel as one
-    sequence: order indices 0..n-1 in entry order, none repeated."""
-    with capture(sweeps=True) as observation:
+def test_coordinate_sweep_logs_one_measure_each():
+    """Both coordinate waves land in the decision log: one ``measure``
+    per entry, none repeated (logged in measurement order, while the
+    result groups its entries by mechanism)."""
+    with capture() as observation:
         traced = _profiler().profile(_builder())
-    records = observation.ambient_tracer.channel("profiler")
-    assert [record.time for record in records] == [
-        float(order) for order in range(len(traced.entries))]
-    assert [record.label for record in records] == [
-        entry.config.label() for entry in traced.entries]
+    assert sorted(_measured(observation)) == sorted(
+        (entry.config.label(), entry.runtime, PLATFORM_4X_VOLTA.name)
+        for entry in traced.entries)
+    assert len(set(_measured(observation))) == len(traced.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +156,7 @@ def test_coordinate_sweep_publishes_one_ordered_profiler_record_each():
 
 def test_parallel_sweep_telemetry_worker_lanes_and_identity():
     baseline = _profiler(search="exhaustive").profile(_builder())
-    with capture(sweeps=True) as observation:
+    with capture() as observation:
         traced = _profiler(search="exhaustive",
                            jobs=2).profile(_builder())
 
@@ -191,7 +196,7 @@ def test_telemetry_off_has_no_side_channels():
 def test_session_sweeps_profile_and_report(tmp_path):
     from repro.api import Session
 
-    session = Session(PLATFORM_4X_VOLTA, sweeps=True)
+    session = Session(PLATFORM_4X_VOLTA, trace=True)
     result = session.profile(small_pagerank(iterations=2),
                              strategy="exhaustive",
                              chunk_sizes=SMALL_CHUNKS,
@@ -199,7 +204,6 @@ def test_session_sweeps_profile_and_report(tmp_path):
     decisions = session.decisions
     assert decisions is not None
     assert decisions.count("measure") == len(result.entries) == GRID
-    assert "sweeps" in repr(session)
 
     markdown = tmp_path / "report.md"
     session.save_report(str(markdown))
